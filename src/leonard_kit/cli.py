@@ -2,8 +2,10 @@
 
 Standard output carries exactly one JSON document per invocation;
 human-oriented summaries go to standard error.  Exit status 0 means an
-affirmative verdict, 1 a negative verdict, and 2 a malformed input or
-usage error.
+affirmative verdict, 1 a negative verdict, 2 a malformed input or usage
+error, and 3 an internal failure, whose traceback goes to standard
+error; an unexpected exception never exits 1, which would read as a
+negative verdict.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .sl2 import (
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 DEFAULT_MAX_DIM = 64
 
@@ -115,9 +118,9 @@ def _verify_input_pair(path: str) -> LeonardPair:
 
 def _parse_rational(raw: str, label: str) -> Fraction:
     try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"{label} must be a rational like 2/5, got {raw!r}")
+        return jsonio.fraction_from_obj(raw)
+    except ValueError as exc:
+        raise InputError(f"{label} must be a rational like 2/5: {exc}")
 
 
 def _emit(report: Any, output: Optional[str], summary: str) -> None:
@@ -399,6 +402,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except LeonardKitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        import traceback  # imported here: at module level every command pays for it
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

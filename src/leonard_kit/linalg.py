@@ -6,14 +6,21 @@ exact eigendecomposition for matrices with simple rational spectra,
 and changes of basis.  Matrices and subspaces are immutable, entries
 are ``fractions.Fraction``, and every result is exact, so equality of
 canonical forms decides equality of the underlying objects.
+
+Rational eigenvalues are found without factoring any number: the
+integer roots of a monic rescaling of the squarefree characteristic
+polynomial are Hensel-lifted from a small prime and confirmed by exact
+evaluation, so their cost follows the degree and the bit-size of the
+entries, not the prime factors of the entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from itertools import count
+from math import gcd, isqrt, lcm
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import AmbientMismatch, NotSimpleRationalSpectrum, SingularBasis
 
@@ -409,23 +416,6 @@ def charpoly(m: ExactMatrix) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    divs = [1]
-    for p, e in factors.items():
-        divs = [dv * p**k for dv in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def _primitive_int_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
     den = 1
     for c in coeffs:
@@ -437,60 +427,161 @@ def _primitive_int_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
     return [v // g for v in ints]
 
 
-def _horner(coeffs: Sequence[int], x: Fraction) -> Fraction:
-    acc = ZERO
-    for c in reversed(coeffs):
+def _strip(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _derivative(f: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd over Z with positive leading coefficient (primitive PRS).
+
+    Polynomials are coefficient lists from constant to leading; ``a``
+    must be nonzero.
+    """
+    b = _strip(list(b))
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            lead, shift = r[-1], len(r) - len(b)
+            r = [b[-1] * x for x in r]
+            for i, c in enumerate(b):
+                r[i + shift] -= lead * c
+            _strip(r)
+        content = gcd(*r) or 1
+        a, b = b, [x // content for x in r]
+    content = gcd(*a)
+    if a[-1] < 0:
+        content = -content
+    return [x // content for x in a]
+
+
+def _exact_quotient(f: Sequence[int], d: Sequence[int]) -> list[int]:
+    """f / d over Z for a divisor d of f."""
+    r = list(f)
+    q = [0] * (len(f) - len(d) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = r[k + len(d) - 1] // d[-1]
+        for i, c in enumerate(d):
+            r[i + k] -= q[k] * c
+    return q
+
+
+def _horner(f: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(f):
         acc = acc * x + c
     return acc
 
 
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    """Exact synthetic division by (x - root); the remainder must vanish."""
+def _eval_mod(f: Sequence[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _squarefree_mod(f: Sequence[int], p: int) -> bool:
+    """Whether the monic integer polynomial f stays squarefree modulo p."""
+    a = [c % p for c in f]
+    b = _strip([c % p for c in _derivative(f)])
+    while b:
+        inv = pow(b[-1], -1, p)
+        r = a
+        while len(r) >= len(b):
+            lead, shift = r[-1] * inv % p, len(r) - len(b)
+            for i, c in enumerate(b):
+                r[i + shift] = (r[i + shift] - lead * c) % p
+            _strip(r)
+        a, b = b, r
+    return len(a) == 1
+
+
+def _primes() -> Iterator[int]:
+    for n in count(2):
+        if all(n % k for k in range(2, isqrt(n) + 1)):
+            yield n
+
+
+def _integer_roots(g: Sequence[int]) -> list[int] | None:
+    """The integer roots of a monic squarefree integer polynomial, or None
+    unless there are as many as its degree.
+
+    Works modulo the smallest prime p that keeps g squarefree; only the
+    finitely many primes dividing the nonzero discriminant fail, so p
+    stays small.  Distinct integer roots stay distinct and simple modulo
+    p: each is found by trying every residue, Hensel-lifted until p^k
+    exceeds twice a bound on the roots, and kept only if its symmetric
+    residue is an exact root.
+    """
+    n = len(g) - 1
+    p = next(p for p in _primes() if _squarefree_mod(g, p))
+    residues = [r for r in range(p) if _eval_mod(g, r, p) == 0]
+    if len(residues) < n:
+        return None
+    # Fujiwara: |y| <= 2 max_k |g[n-k]|^(1/k), here rounded up to a power of 2
+    bound = 2 << max(
+        (-(-c.bit_length() // (n - i)) for i, c in enumerate(g[:-1])), default=0
+    )
+    dg = _derivative(g)
+    roots = []
+    for r in residues:
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _eval_mod(g, r, m) * pow(_eval_mod(dg, r, m), -1, m)) % m
+        y = r if 2 * r <= m else r - m
+        if abs(y) > bound or _horner(g, y) != 0:
+            return None
+        roots.append(y)
+    return roots
+
+
+def _deflate(coeffs: Sequence, root: Fraction) -> list | None:
+    """Exact synthetic division by (x - root), or None if root is no root."""
     n = len(coeffs) - 1
     out = [ZERO] * n
     acc = coeffs[n]
     for k in range(n - 1, -1, -1):
         out[k] = acc
         acc = coeffs[k] + root * acc
-    if acc != 0:
-        raise ValueError("claimed root does not divide the polynomial")
-    return out
+    return out if acc == 0 else None
 
 
 def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
-    """All roots of a rational polynomial that splits over Q, else None.
+    """All roots, with multiplicity, of a rational polynomial that splits
+    over Q, else None.  Coefficients run from constant to leading, and
+    the leading one is nonzero.
 
-    Candidate roots p/q run over divisors of the cleared trailing and
-    leading coefficients; each found root is divided out before the
-    next search.
+    No coefficient is ever factored.  After the zero roots are stripped,
+    the squarefree part h = f / gcd(f, f') of the primitive integer
+    polynomial f is made monic by y = a x, with a the leading
+    coefficient of h; the integer roots y of the result are found by
+    Hensel lifting (``_integer_roots``), and the multiplicity of each
+    root x = y / a is one more than the number of times it divides
+    gcd(f, f') exactly.
     """
-    work = list(coeffs)
-    roots: list[Fraction] = []
-    while len(work) > 1:
-        ints = _primitive_int_coeffs(work)
-        if ints[0] == 0:
-            root = ZERO
-        else:
-            root = None
-            seen: set[Fraction] = set()
-            for p in _divisors(ints[0]):
-                for q in _divisors(ints[-1]):
-                    cand = Fraction(p, q)
-                    if cand in seen:
-                        continue
-                    seen.add(cand)
-                    if _horner(ints, cand) == 0:
-                        root = cand
-                    elif _horner(ints, -cand) == 0:
-                        root = -cand
-                    if root is not None:
-                        break
-                if root is not None:
-                    break
-            if root is None:
-                return None
+    f = _primitive_int_coeffs(coeffs)
+    zeros = next(i for i, c in enumerate(f) if c != 0)
+    f = f[zeros:]
+    common = _int_poly_gcd(f, _derivative(f))
+    h = _exact_quotient(f, common)
+    n, a = len(h) - 1, h[-1]
+    g = [c * a ** (n - 1 - i) for i, c in enumerate(h[:-1])] + [1]
+    ys = _integer_roots(g)
+    if ys is None:
+        return None
+    roots = [ZERO] * zeros
+    for y in ys:
+        root = Fraction(y, a)
         roots.append(root)
-        work = _deflate(work, root)
+        while len(common) > 1 and (quotient := _deflate(common, root)) is not None:
+            common = quotient
+            roots.append(root)
     return roots
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from leonard_kit import jsonio
+from leonard_kit import cli, jsonio
 from leonard_kit.cli import main
 from leonard_kit.linalg import ExactMatrix
 from leonard_kit.sl2 import KrawtchoukParameters, krawtchouk_pair
@@ -49,6 +49,16 @@ def test_verify_rejects_diagonal_pair(tmp_path, capsys):
     report = json.loads(out)
     assert report["leonard_pair"] is False
     assert report["error"] == "NotTridiagonalizable"
+
+
+def test_verify_prime_entries_past_trial_division(tmp_path, capsys):
+    p, q = 10**9 + 7, 10**9 + 9
+    path = write_pair(
+        tmp_path / "primes.json", ExactMatrix.diagonal([p, q]), ExactMatrix([[0, 1], [1, 0]])
+    )
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 0
+    assert json.loads(out)["eigenvalue_sequences"] == [[str(q), str(p)], [str(p), str(q)]]
 
 
 def test_verify_non_square_is_usage_error(tmp_path, capsys):
@@ -224,6 +234,17 @@ def test_max_dim_cap(tmp_path, kraw_file, capsys, monkeypatch):
     assert "LEONARD_KIT_MAX_DIM" in err
     code, _, err = run(capsys, "triple", "--d", "5", "--p", "1/3")
     assert code == 2
+
+
+def test_internal_failure_exits_3(kraw_file, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("simulated defect")
+
+    monkeypatch.setattr(cli, "_cmd_verify", broken)
+    code, out, err = run(capsys, "verify", kraw_file(1, "1/3"))
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: simulated defect" in err
 
 
 def test_usage_error_from_argparse(capsys):

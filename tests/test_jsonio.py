@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from leonard_kit import jsonio
+from leonard_kit.cli import main
 from leonard_kit.linalg import ExactMatrix
 
 
@@ -19,9 +20,21 @@ def test_matrix_accepts_integer_entries():
     assert jsonio.matrix_from_obj(obj) == ExactMatrix([[3, "1/2"]])
 
 
-def test_matrix_rejects_floats_and_shape_lies():
+def test_matrix_rejects_floats_and_shape_lies(tmp_path, capsys):
     with pytest.raises(ValueError):
         jsonio.matrix_from_obj({"rows": 1, "cols": 1, "entries": [[1.5]]})
+    # Fraction() accepts these, the documented syntax does not; "1e5000"
+    # would build a 5000-digit integer
+    for raw in ("1e5000", "1.5", "2e3"):
+        entry = {"rows": 1, "cols": 1, "entries": [[raw]]}
+        with pytest.raises(ValueError, match="cannot parse rational"):
+            jsonio.matrix_from_obj(entry)
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"a": entry, "a_star": entry}))
+        assert main(["verify", str(path)]) == 2
+        assert "cannot parse rational" in capsys.readouterr().err
+        assert main(["triple", "--d", "2", "--p", raw]) == 2
+        assert "cannot parse rational" in capsys.readouterr().err
     with pytest.raises(ValueError):
         jsonio.matrix_from_obj({"rows": 2, "cols": 1, "entries": [[1]]})
     with pytest.raises(ValueError):

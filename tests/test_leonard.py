@@ -40,6 +40,34 @@ def test_verify_rejects_irrational_partner_spectrum():
         verify_leonard(ExactMatrix.diagonal([1, -1]), ExactMatrix([[0, 2], [1, 0]]))
 
 
+# Entries whose cleared characteristic polynomials have large prime
+# factors: recognition must not depend on factoring them.
+
+
+def test_verify_200_bit_prime_entries():
+    big, other = 2**200 - 75, 2**200 - 117  # both prime
+    pair = verify_leonard(ExactMatrix.diagonal([big, other]), ExactMatrix([[0, 1], [1, 0]]))
+    assert pair.eigenvalue_sequences == ((big, other), (other, big))
+    assert pair.dual_eigenvalue_sequences == ((1, -1), (-1, 1))
+
+
+def test_verify_krawtchouk_rescaled_by_wide_prime(kraw):
+    c = Fraction(2**24 - 3, 2**23)  # the largest 24-bit prime over 2^23
+    base = kraw(8, Fraction(1, 3))
+    shift = c * ExactMatrix.identity(9)
+    pair = verify_leonard(c * base.a + shift, c * base.a_star + shift)
+    theta = tuple(c * (9 - 2 * i) for i in range(9))
+    assert pair.eigenvalue_sequences[0] == theta
+    assert set(pair.dual_eigenvalue_sequences) == {theta, theta[::-1]}
+
+
+def test_verify_rejects_wide_irrational_block():
+    c = Fraction(2**32 - 5, 2**31)  # 32-bit prime over 2^31
+    # eigenvalues c (1 +- sqrt 2)
+    with pytest.raises(NotSimpleRationalSpectrum):
+        verify_leonard(ExactMatrix([[c, c], [2 * c, c]]), ExactMatrix([[0, 1], [1, 0]]))
+
+
 def test_verify_rejects_size_mismatch():
     with pytest.raises(DimensionMismatch):
         verify_leonard(ExactMatrix.identity(2), ExactMatrix.identity(3))

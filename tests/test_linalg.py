@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from leonard_kit.errors import AmbientMismatch, NotSimpleRationalSpectrum, Singu
 from leonard_kit.linalg import (
     ExactMatrix,
     Subspace,
+    _rational_roots,
     charpoly,
     kernel,
     rank,
@@ -208,6 +210,95 @@ def test_eigen_trace_and_annihilation_randomized():
             for vec in space.basis:
                 assert m.apply(vec) == tuple(lam * x for x in vec)
         assert product.is_zero()
+
+
+def _reference_divisors(n):
+    n = abs(n)
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    divs = [1]
+    for p, e in factors.items():
+        divs = [dv * p**k for dv in divs for k in range(e + 1)]
+    return sorted(divs)
+
+
+def _reference_rational_roots(coeffs):
+    """Trial-division search over the candidates p/q with p dividing the
+    cleared constant term and q the leading one, deflating each root."""
+    work = list(coeffs)
+    roots = []
+    while len(work) > 1:
+        den = lcm(*(c.denominator for c in work))
+        ints = [int(c * den) for c in work]
+        content = gcd(*ints)
+        ints = [v // content for v in ints]
+        if ints[0] == 0:
+            root = Fraction(0)
+        else:
+            candidates = (
+                s * Fraction(p, q)
+                for p in _reference_divisors(ints[0])
+                for q in _reference_divisors(ints[-1])
+                for s in (1, -1)
+            )
+            root = next(
+                (x for x in candidates if sum(c * x**i for i, c in enumerate(ints)) == 0),
+                None,
+            )
+            if root is None:
+                return None
+        roots.append(root)
+        quotient, acc = [], work[-1]
+        for c in reversed(work[:-1]):
+            quotient.append(acc)
+            acc = c + root * acc
+        assert acc == 0
+        work = quotient[::-1]
+    return roots
+
+
+def _poly_mul(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+linear_factors = st.lists(
+    st.tuples(st.integers(1, 6), st.integers(-12, 12), st.integers(1, 3)),
+    max_size=5,
+)
+
+
+@given(
+    linear_factors,
+    st.sampled_from([None, (-2, 0, 3), (1, 1, 1), (-6, 1, 1)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+)
+@settings(max_examples=150, deadline=None)
+def test_rational_roots_match_trial_division(factors, quadratic, scale):
+    """Products of (q x - p)^k, times an optional quadratic (3x^2 - 2 and
+    x^2 + x + 1 are irreducible, x^2 + x - 6 splits) and a scalar."""
+    coeffs = [scale]
+    for q, p, k in factors:
+        for _ in range(k):
+            coeffs = _poly_mul(coeffs, [Fraction(-p), Fraction(q)])
+    if quadratic is not None:
+        coeffs = _poly_mul(coeffs, [Fraction(c) for c in quadratic])
+    expected = _reference_rational_roots(coeffs)
+    found = _rational_roots(coeffs)
+    if expected is None:
+        assert found is None
+    else:
+        assert sorted(found) == sorted(expected)
 
 
 def test_charpoly_matches_det_and_trace():
