@@ -24,8 +24,8 @@ from .errors import (
     NotAdjacent,
     TheoremViolation,
 )
-from .flags import Flag, decomposition_from_flags, principal_relation, standard_flag_set
-from .leonard import Kind, LeonardPair, eigenvalue_sequence, standard_decompositions
+from .flags import Flag, principal_relation, standard_flag_set
+from .leonard import Kind, LeonardPair, standard_decompositions
 from .sequences import SequenceClass, SequenceTag, classify_sequence
 from .split import SplitType, split_type
 
@@ -105,7 +105,8 @@ def are_adjacent(p1: LeonardPair, p2: LeonardPair) -> bool:
         split_type(dec, p1) is not SplitType.NONE
         for dec in _all_standard_decompositions(p2)
     )
-    assert forward == backward, "adjacency must be symmetric"
+    if forward != backward:
+        raise TheoremViolation("adjacency must be symmetric")
     return forward
 
 
@@ -120,8 +121,10 @@ def are_adjacent_via_flags(p1: LeonardPair, p2: LeonardPair) -> bool:
 
 
 def _sole(flags: Sequence[Flag], others: Sequence[Flag]) -> Flag:
+    # one flag in each role intersection is the flag route's adjacency test
     hits = [f for f in flags if f in others]
-    assert len(hits) == 1, "role intersection must contain exactly one flag"
+    if len(hits) != 1:
+        raise NotAdjacent("the pairs are not adjacent")
     return hits[0]
 
 
@@ -130,21 +133,21 @@ def build_labeling(p1: LeonardPair, p2: LeonardPair) -> AdjacencyLabeling:
 
     Each role is the unique flag in the intersection of one standard
     pair of p1 with one of p2, so the labeling is determined once the
-    two pairs are fixed.
+    two pairs are fixed.  The k-th standard flag is induced by the k-th
+    standard decomposition, so the sequences are read off by flag index.
     """
     if p1.d == 0:
         raise DegenerateDimension("labeling needs dimension at least 2")
-    if not are_adjacent(p1, p2):
-        raise NotAdjacent("the pairs are not adjacent")
+    _require_same_space(p1, p2)
     fs1, fs2 = standard_flag_set(p1), standard_flag_set(p2)
     w = _sole(fs1.a_flags, fs2.a_flags)
     x = _sole(fs1.a_flags, fs2.a_star_flags)
     y = _sole(fs1.a_star_flags, fs2.a_star_flags)
     z = _sole(fs1.a_star_flags, fs2.a_flags)
-    theta = eigenvalue_sequence(p1, decomposition_from_flags(w, x), Kind.A)
-    theta_star = eigenvalue_sequence(p1, decomposition_from_flags(y, z), Kind.A_STAR)
-    eta = eigenvalue_sequence(p2, decomposition_from_flags(z, w), Kind.A)
-    eta_star = eigenvalue_sequence(p2, decomposition_from_flags(x, y), Kind.A_STAR)
+    theta = p1.eigenvalue_sequences[fs1.a_flags.index(w)]
+    theta_star = p1.dual_eigenvalue_sequences[fs1.a_star_flags.index(y)]
+    eta = p2.eigenvalue_sequences[fs2.a_flags.index(z)]
+    eta_star = p2.dual_eigenvalue_sequences[fs2.a_star_flags.index(x)]
     return AdjacencyLabeling(w, x, y, z, theta, theta_star, eta, eta_star)
 
 
@@ -192,7 +195,8 @@ def classify_dichotomy(lab: AdjacencyLabeling) -> DichotomyResult:
         return DichotomyResult(SequenceTag.ARITHMETIC)
     if all(c.tag is SequenceTag.Q_CLASSICAL for c in classes):
         q = classes[0].q
-        assert q is not None
+        if q is None:
+            raise TheoremViolation("a q-classical sequence must carry its q")
         if all(c.q in (q, 1 / q) for c in classes):
             return DichotomyResult(SequenceTag.Q_CLASSICAL, q=q)
     raise DichotomyViolation(

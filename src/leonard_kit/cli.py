@@ -5,7 +5,8 @@ human-oriented summaries go to standard error.  Exit status 0 means an
 affirmative verdict, 1 a negative verdict, 2 a malformed input or usage
 error, and 3 an internal failure, whose traceback goes to standard
 error; an unexpected exception never exits 1, which would read as a
-negative verdict.
+negative verdict.  A failed self-check (TheoremViolation) is an internal
+failure too and exits 3.
 """
 
 from __future__ import annotations
@@ -33,17 +34,13 @@ from .errors import (
     NotSimpleRationalSpectrum,
     NotTridiagonalizable,
     RepeatedEntry,
+    TheoremViolation,
 )
-from .flags import principal_relation, standard_flag_set
+from .flags import standard_flag_set
 from .leonard import LeonardPair, verify_leonard
 from .linalg import ExactMatrix
 from .sequences import SequenceTag, classify_sequence
-from .sl2 import (
-    KrawtchoukParameters,
-    companions,
-    krawtchouk_normal_form,
-    three_mutually_adjacent,
-)
+from .sl2 import KrawtchoukParameters, companions, three_mutually_adjacent
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -136,33 +133,29 @@ def _emit(report: Any, output: Optional[str], summary: str) -> None:
     print(summary, file=sys.stderr)
 
 
-def _cmd_verify(args) -> int:
+def _verify_or_reject(args) -> Optional[LeonardPair]:
+    """The verified pair of args.pair, or None once the negative report
+    for an input that is not a Leonard pair is emitted."""
     a, a_star = _load_pair(args.pair)
     try:
-        pair = verify_leonard(a, a_star)
+        return verify_leonard(a, a_star)
     except (NotSimpleRationalSpectrum, NotTridiagonalizable) as exc:
-        report = {
-            "leonard_pair": False,
-            "error": type(exc).__name__,
-            "reason": str(exc),
-        }
+        report = {"leonard_pair": False, "error": type(exc).__name__, "reason": str(exc)}
         _emit(report, args.output, f"not a Leonard pair: {exc}")
+        return None
+
+
+def _cmd_verify(args) -> int:
+    pair = _verify_or_reject(args)
+    if pair is None:
         return EXIT_NO
     _emit(jsonio.pair_report_obj(pair), args.output, f"Leonard pair with d = {pair.d}")
     return EXIT_YES
 
 
 def _cmd_flags(args) -> int:
-    a, a_star = _load_pair(args.pair)
-    try:
-        pair = verify_leonard(a, a_star)
-    except (NotSimpleRationalSpectrum, NotTridiagonalizable) as exc:
-        report = {
-            "leonard_pair": False,
-            "error": type(exc).__name__,
-            "reason": str(exc),
-        }
-        _emit(report, args.output, f"not a Leonard pair: {exc}")
+    pair = _verify_or_reject(args)
+    if pair is None:
         return EXIT_NO
     flag_set = standard_flag_set(pair)
     flags = flag_set.all_flags()
@@ -215,6 +208,8 @@ def _cmd_adjacent(args) -> int:
         return EXIT_YES
     verdict = are_adjacent(p1, p2)
     via_flags = are_adjacent_via_flags(p1, p2)
+    if via_flags != verdict:
+        raise TheoremViolation(f"split route says {verdict}, flag route {via_flags}")
     if not verdict:
         report = {"adjacent": False, "d": p1.d, "via_flags": via_flags}
         _emit(report, args.output, "pairs are not adjacent")
@@ -300,12 +295,11 @@ def _cmd_triple(args) -> int:
 def _cmd_companions(args) -> int:
     pair = _verify_input_pair(args.pair)
     try:
-        b, b_star, c, c_star = companions(pair)
+        nf, b_pair, c_pair = companions(pair)
     except NotArithmetic as exc:
         report = {"companions": False, "reason": str(exc)}
         _emit(report, args.output, f"no companions: {exc}")
         return EXIT_NO
-    nf = krawtchouk_normal_form(pair)
     report = {
         "companions": True,
         "d": pair.d,
@@ -314,10 +308,10 @@ def _cmd_companions(args) -> int:
             "s": jsonio.matrix_to_obj(nf.s),
             "affine": [str(x) for x in nf.affine],
         },
-        "b": jsonio.matrix_to_obj(b),
-        "b_star": jsonio.matrix_to_obj(b_star),
-        "c": jsonio.matrix_to_obj(c),
-        "c_star": jsonio.matrix_to_obj(c_star),
+        "b": jsonio.matrix_to_obj(b_pair.a),
+        "b_star": jsonio.matrix_to_obj(b_pair.a_star),
+        "c": jsonio.matrix_to_obj(c_pair.a),
+        "c_star": jsonio.matrix_to_obj(c_pair.a_star),
         "mutually_adjacent": True,
     }
     _emit(report, args.output, f"companions built at d = {pair.d}, p = {nf.p}")
@@ -399,10 +393,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except LeonardKitError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception:
+    except Exception as exc:
+        # a failed self-check is an internal failure, not a usage error
+        if isinstance(exc, LeonardKitError) and not isinstance(exc, TheoremViolation):
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         import traceback  # imported here: at module level every command pays for it
 
         traceback.print_exc()

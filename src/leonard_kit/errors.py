@@ -59,8 +59,8 @@ class DichotomyViolation(LeonardKitError):
 
 
 class TheoremViolation(LeonardKitError):
-    """More than three pairs passed pairwise adjacency; this is impossible
-    for genuine Leonard pairs and signals an internal inconsistency."""
+    """A result a theorem guarantees failed its self-check; this signals
+    an internal inconsistency, not bad input."""
 
 
 class DependentVectors(LeonardKitError):

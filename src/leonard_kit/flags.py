@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import AmbientMismatch, DegenerateDimension, NotOpposite
+from .errors import AmbientMismatch, DegenerateDimension, NotOpposite, TheoremViolation
 from .leonard import Decomposition, LeonardPair
 from .linalg import ExactMatrix, Subspace, rank, subspace_intersection, subspace_sum
 
@@ -113,8 +113,8 @@ def standard_flag_set(pair: LeonardPair) -> StandardFlagSet:
     a_flags = tuple(induced_flag(dec) for dec in pair.a_standard_decompositions)
     s_flags = tuple(induced_flag(dec) for dec in pair.a_star_standard_decompositions)
     flag_set = StandardFlagSet(a_flags, s_flags)
-    if pair.d >= 1:
-        assert len(flag_set.as_set()) == 4, "a Leonard pair must carry four standard flags"
+    if pair.d >= 1 and len(flag_set.as_set()) != 4:
+        raise TheoremViolation("a Leonard pair must carry four standard flags")
     return flag_set
 
 
@@ -125,7 +125,6 @@ class PrincipalRelation:
     blocks: frozenset[frozenset[Flag]]
 
 
-@lru_cache(maxsize=None)
 def principal_relation(pair: LeonardPair) -> PrincipalRelation:
     """The unordered partition {A-standard flags} | {A*-standard flags}."""
     if pair.d < 1:

@@ -1,39 +1,26 @@
 """JSON forms for matrices, pairs, subspaces, flags, and sequences.
 
 Rationals travel as strings ("4/3", "-1") so that files round-trip
-bit-exactly; integers are also accepted on input.  A rational string is
-an optionally signed integer or p/q in decimal digits, nothing else:
-no decimal point, exponent, underscore or whitespace.
+bit-exactly; integers are also accepted on input.  Rational strings
+follow the one grammar of ``linalg.as_fraction``: an optionally signed
+integer or p/q in decimal digits, nothing else.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Any
 
 from .flags import Flag
 from .leonard import Decomposition, LeonardPair
-from .linalg import ExactMatrix, Subspace, Vector
-
-
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+from .linalg import ExactMatrix, Subspace, Vector, as_fraction
 
 
 def fraction_from_obj(obj: Any) -> Fraction:
-    if isinstance(obj, bool) or isinstance(obj, float):
+    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
         raise ValueError(f"rationals must be strings or integers, got {obj!r}")
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, str):
-        if not _RATIONAL.fullmatch(obj):
-            raise ValueError(f"cannot parse rational {obj!r}: expected an integer or p/q")
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse rational {obj!r}: {exc}") from None
-    raise ValueError(f"rationals must be strings or integers, got {obj!r}")
+    return as_fraction(obj)
 
 
 def fraction_to_obj(x: Fraction) -> str:

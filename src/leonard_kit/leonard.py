@@ -184,23 +184,16 @@ def standard_decompositions(pair: LeonardPair, kind: Kind) -> tuple[Decompositio
     return pair.a_star_standard_decompositions
 
 
-def _eigenvalue_on(op: ExactMatrix, line: Subspace) -> Fraction:
-    v = line.representative()
-    w = op.apply(v)
-    pivot = next(i for i, x in enumerate(v) if x != 0)
-    theta = w[pivot] / v[pivot]
-    if tuple(theta * x for x in v) != w:
-        raise DecompositionNotStandard("component is not an eigenspace of the operator")
-    return theta
-
-
 def eigenvalue_sequence(
     pair: LeonardPair, dec: Decomposition, kind: Kind
 ) -> tuple[Fraction, ...]:
-    """Eigenvalues of the chosen operator read along the decomposition."""
-    if dec not in standard_decompositions(pair, kind):
+    """Eigenvalues of the chosen operator read along the decomposition,
+    looked up in the pair's verified record."""
+    decs = standard_decompositions(pair, kind)
+    if dec not in decs:
         raise DecompositionNotStandard(
             f"decomposition is not {kind.value}-standard for this pair"
         )
-    op = pair.a if kind is Kind.A else pair.a_star
-    return tuple(_eigenvalue_on(op, comp) for comp in dec.components)
+    if kind is Kind.A:
+        return pair.eigenvalue_sequences[decs.index(dec)]
+    return pair.dual_eigenvalue_sequences[decs.index(dec)]

@@ -16,6 +16,7 @@ entries, not the prime factors of the entries.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -32,12 +33,24 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def as_fraction(x: Scalar) -> Fraction:
-    """Coerce an int, string ("p/q" or "-3"), or Fraction to a Fraction."""
+    """Coerce an int, Fraction, or string to a Fraction.  A string is an
+    optionally signed integer or p/q in decimal digits ("-3", "4/3"),
+    with no decimal point, exponent, underscore or whitespace."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise ValueError(f"cannot parse rational {x!r}: expected an integer or p/q")
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"cannot parse rational {x!r}: {exc}") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

@@ -24,6 +24,7 @@ from .errors import (
     NotKrawtchouk,
     NotSimpleRationalSpectrum,
     NotTraceless,
+    TheoremViolation,
     ZeroScale,
 )
 from .leonard import LeonardPair, verify_leonard
@@ -237,7 +238,8 @@ def check_ptl(a: ExactMatrix, a_star: ExactMatrix) -> PtlReport:
     if lines_a is not None and a_star.shape == (2, 2) and a_star.trace() == 0:
         plus, minus = lines_a
         basis = chevalley_from_basis(plus.representative(), minus.representative())
-        assert a == basis.h
+        if a != basis.h:
+            raise TheoremViolation("the Chevalley basis must have h equal to a")
         elem = decompose_sl2(a_star, basis)
         product = elem.beta * elem.gamma
         chevalley_condition = product == 1 - elem.alpha**2 and product != 0
@@ -288,8 +290,8 @@ def three_mutually_adjacent(
         verify_leonard(lifted[2], lifted[3]),
         verify_leonard(lifted[4], lifted[5]),
     )
-    if d >= 1:
-        assert check_mutually_adjacent(pairs), "lifted pairs must be mutually adjacent"
+    if d >= 1 and not check_mutually_adjacent(pairs):
+        raise TheoremViolation("lifted pairs must be mutually adjacent")
     return pairs
 
 
@@ -409,11 +411,11 @@ def krawtchouk_normal_form(pair: LeonardPair) -> KrawtchoukNormalForm:
                 [tuple(scales[i] * x for x in reps[i]) for i in range(d + 1)]
             )
             a_norm = alpha * pair.a + beta * identity
-            s_inv = s.inverse()
-            assert s_inv * a_norm * s == ExactMatrix.diagonal(
+            if s.inverse() * a_norm * s != ExactMatrix.diagonal(
                 [d - 2 * i for i in range(d + 1)]
-            )
-            assert s_inv * a_star_norm * s == target
+            ):
+                raise TheoremViolation("the normal form basis must diagonalize A")
+            # S^-1 A* S needs no check: it is `rescaled`, just compared with `target`
             return KrawtchoukNormalForm(s, p, (alpha, beta, alpha_star, beta_star))
     raise NotKrawtchouk(
         "no orientation matches the tridiagonal normal form; "
@@ -421,12 +423,13 @@ def krawtchouk_normal_form(pair: LeonardPair) -> KrawtchoukNormalForm:
     )
 
 
-def companions(pair: LeonardPair) -> tuple[ExactMatrix, ...]:
-    """Two pairs (B, B*) and (C, C*) mutually adjacent with the input.
+def companions(pair: LeonardPair) -> tuple[KrawtchoukNormalForm, LeonardPair, LeonardPair]:
+    """The normal form of the input and two verified pairs (B, B*) and
+    (C, C*) mutually adjacent with it.
 
     Built in normal-form coordinates from the witness vectors (1,0),
     (0,1), (1,1), (p, p-1), lifted to dimension d+1, and conjugated
-    back; the triple is verified before returning.
+    back; the triple is checked before returning.
     """
     nf = krawtchouk_normal_form(pair)
     d, p = pair.d, nf.p
@@ -439,8 +442,6 @@ def companions(pair: LeonardPair) -> tuple[ExactMatrix, ...]:
     )
     b_pair = verify_leonard(out[0], out[1])
     c_pair = verify_leonard(out[2], out[3])
-    if d >= 1:
-        assert check_mutually_adjacent([pair, b_pair, c_pair]), (
-            "companions must be mutually adjacent with the input pair"
-        )
-    return out
+    if d >= 1 and not check_mutually_adjacent([pair, b_pair, c_pair]):
+        raise TheoremViolation("companions must be mutually adjacent with the input")
+    return nf, b_pair, c_pair

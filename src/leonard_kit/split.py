@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .errors import NotADecomposition
+from .errors import NotADecomposition, TheoremViolation
 from .flags import induced_flag, standard_flag_set
 from .leonard import Decomposition, LeonardPair
 from .linalg import ExactMatrix
@@ -61,6 +61,19 @@ def _check_ambient(dec: Decomposition, pair: LeonardPair) -> None:
         )
 
 
+def _verdict(lu: bool, ul: bool, pair: LeonardPair) -> SplitType:
+    if lu and ul:
+        # any nonzero off-diagonal entry forbids the opposite shape
+        if pair.d != 0:
+            raise TheoremViolation("both split types can only coexist at d = 0")
+        return SplitType.BOTH
+    if lu:
+        return SplitType.LU
+    if ul:
+        return SplitType.UL
+    return SplitType.NONE
+
+
 def split_type(dec: Decomposition, pair: LeonardPair) -> SplitType:
     """Classify by representing both operators in the induced basis.
 
@@ -74,15 +87,7 @@ def split_type(dec: Decomposition, pair: LeonardPair) -> SplitType:
     shape_a_star = bidiagonal_shape(s_inv * pair.a_star * s)
     lu = _is_lower(shape_a) and _is_upper(shape_a_star)
     ul = _is_upper(shape_a) and _is_lower(shape_a_star)
-    if lu and ul:
-        # any nonzero off-diagonal entry forbids the opposite shape
-        assert pair.d == 0, "both split types can only coexist at d = 0"
-        return SplitType.BOTH
-    if lu:
-        return SplitType.LU
-    if ul:
-        return SplitType.UL
-    return SplitType.NONE
+    return _verdict(lu, ul, pair)
 
 
 def split_type_via_flags(dec: Decomposition, pair: LeonardPair) -> SplitType:
@@ -103,11 +108,4 @@ def split_type_via_flags(dec: Decomposition, pair: LeonardPair) -> SplitType:
     ul = any(x == f for x in flag_set.a_flags) and any(
         y == g for y in flag_set.a_star_flags
     )
-    if lu and ul:
-        assert pair.d == 0, "both split types can only coexist at d = 0"
-        return SplitType.BOTH
-    if lu:
-        return SplitType.LU
-    if ul:
-        return SplitType.UL
-    return SplitType.NONE
+    return _verdict(lu, ul, pair)

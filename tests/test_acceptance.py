@@ -106,9 +106,7 @@ def all_pairs_from_criteria(registry):
     for d, p, t in conjugation_trials():
         pair = conjugated_pair(d, p, t)
         seen.append(pair)
-        b, b_star, c, c_star = companions(pair)
-        companion_members.append(verify_leonard(b, b_star))
-        companion_members.append(verify_leonard(c, c_star))
+        companion_members.extend(companions(pair)[1:])
     seen.extend(companion_members)
     return seen
 
@@ -196,9 +194,8 @@ def test_criterion_6_theorem_3_round_trip():
         assert len(trials) == CONJUGATION_TRIALS
         for d, p, t in trials:
             pair = conjugated_pair(d, p, t)
-            b, b_star, c, c_star = companions(pair)
-            triple = [pair, verify_leonard(b, b_star), verify_leonard(c, c_star)]
-            assert check_mutually_adjacent(triple)
+            _, b_pair, c_pair = companions(pair)
+            assert check_mutually_adjacent([pair, b_pair, c_pair])
         elapsed = time.perf_counter() - start
         assert elapsed < 60, f"criterion 6 took {elapsed:.1f}s"
 

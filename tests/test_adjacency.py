@@ -1,6 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -102,6 +102,37 @@ def test_labeling_roles_and_theta(standard_triple):
     assert lab.theta_star in pairs[0].dual_eigenvalue_sequences
     assert lab.eta in pairs[1].eigenvalue_sequences
     assert lab.eta_star in pairs[1].dual_eigenvalue_sequences
+
+
+def _eigenvalues_along(op, dec):
+    """Eigenvalues of op on the components of dec, read off the operator."""
+    values = []
+    for line in dec.components:
+        v = line.representative()
+        w = op.apply(v)
+        pivot = next(i for i, x in enumerate(v) if x != 0)
+        theta = w[pivot] / v[pivot]
+        assert tuple(theta * x for x in v) == w
+        values.append(theta)
+    return tuple(values)
+
+
+def test_labeling_lookup_matches_flag_intersections(standard_triple):
+    # reference: intersect the role flags back into [wx], [yz], [zw], [xy]
+    # and read each sequence off the operator along that decomposition
+    for d in (1, 2, 3, 4):
+        for p, q in permutations(standard_triple(d), 2):
+            lab = build_labeling(p, q)
+            roles = (
+                (lab.theta, p, p.a, Kind.A, lab.w, lab.x),
+                (lab.theta_star, p, p.a_star, Kind.A_STAR, lab.y, lab.z),
+                (lab.eta, q, q.a, Kind.A, lab.z, lab.w),
+                (lab.eta_star, q, q.a_star, Kind.A_STAR, lab.x, lab.y),
+            )
+            for seq, pair, op, kind, f, g in roles:
+                dec = decomposition_from_flags(f, g)
+                assert seq == _eigenvalues_along(op, dec)
+                assert seq == eigenvalue_sequence(pair, dec, kind)
 
 
 def test_labeling_flags_swap_consistently(standard_triple):

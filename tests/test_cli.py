@@ -1,12 +1,13 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from leonard_kit import cli, jsonio
+from leonard_kit import adjacency, cli, jsonio, sl2
 from leonard_kit.cli import main
 from leonard_kit.linalg import ExactMatrix
-from leonard_kit.sl2 import KrawtchoukParameters, krawtchouk_pair
+from leonard_kit.sl2 import KrawtchoukParameters, krawtchouk_pair, three_mutually_adjacent
 
 
 def write_pair(path, a, a_star):
@@ -245,6 +246,57 @@ def test_internal_failure_exits_3(kraw_file, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "Traceback" in err and "RuntimeError: simulated defect" in err
+
+
+def test_failed_self_check_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(sl2, "check_mutually_adjacent", lambda pairs: False)
+    code, out, err = run(capsys, "triple", "--d", "2", "--p", "1/3")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err and "TheoremViolation" in err
+
+
+@pytest.fixture
+def member_files(tmp_path):
+    """Pair files of two members of the d = 2 triple."""
+    pairs = three_mutually_adjacent(2, (1, 0), (0, 1), (1, 1), (1, -1))
+    return [
+        write_pair(tmp_path / f"p{i}.json", q.a, q.a_star)
+        for i, q in enumerate(pairs[:2], 1)
+    ]
+
+
+def test_adjacency_routes_disagreeing_exits_3(member_files, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "are_adjacent_via_flags", lambda p, q: False)
+    code, out, err = run(capsys, "adjacent", *member_files)
+    assert code == 3
+    assert out == ""
+    assert "Traceback" in err and "TheoremViolation" in err
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace every leonard_kit binding of module.name with a counting
+    wrapper; returns the list that collects one entry per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "leonard_kit" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_each_command_decides_once(member_files, kraw_file, capsys, monkeypatch):
+    adjacent_calls = count_calls(monkeypatch, adjacency, "are_adjacent")
+    normal_form_calls = count_calls(monkeypatch, sl2, "krawtchouk_normal_form")
+    assert run(capsys, "adjacent", *member_files)[0] == 0
+    assert len(adjacent_calls) == 1
+    assert run(capsys, "companions", kraw_file(2, "1/3"))[0] == 0
+    assert len(normal_form_calls) == 1
 
 
 def test_usage_error_from_argparse(capsys):

@@ -24,8 +24,11 @@ def test_matrix_rejects_floats_and_shape_lies(tmp_path, capsys):
     with pytest.raises(ValueError):
         jsonio.matrix_from_obj({"rows": 1, "cols": 1, "entries": [[1.5]]})
     # Fraction() accepts these, the documented syntax does not; "1e5000"
-    # would build a 5000-digit integer
-    for raw in ("1e5000", "1.5", "2e3"):
+    # would build a 5000-digit integer.  The library, the JSON reader and
+    # the CLI share one grammar.
+    for raw in ("1e5000", "1.5", "2e3", " 3"):
+        with pytest.raises(ValueError, match="cannot parse rational"):
+            ExactMatrix([[raw]])
         entry = {"rows": 1, "cols": 1, "entries": [[raw]]}
         with pytest.raises(ValueError, match="cannot parse rational"):
             jsonio.matrix_from_obj(entry)

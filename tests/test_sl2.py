@@ -381,24 +381,23 @@ def test_companions_bidiagonal_in_normal_coordinates(kraw):
     from leonard_kit.split import BidiagonalShape, bidiagonal_shape
 
     pair = kraw(1, Fraction(1, 3))  # already in normal coordinates
-    b, b_star, c, c_star = companions(pair)
-    assert bidiagonal_shape(b) is BidiagonalShape.UPPER
-    assert bidiagonal_shape(b_star) is BidiagonalShape.LOWER
-    assert bidiagonal_shape(c) is BidiagonalShape.UPPER
-    assert bidiagonal_shape(c_star) is BidiagonalShape.LOWER
+    nf, b_pair, c_pair = companions(pair)
+    assert nf == krawtchouk_normal_form(pair)
+    for member in (b_pair, c_pair):
+        assert bidiagonal_shape(member.a) is BidiagonalShape.UPPER
+        assert bidiagonal_shape(member.a_star) is BidiagonalShape.LOWER
 
 
 def test_companions_at_d0_degenerate():
     pair = verify_leonard(ExactMatrix([[4]]), ExactMatrix([[-1]]))
-    out = companions(pair)
+    _, b_pair, c_pair = companions(pair)
+    out = (b_pair.a, b_pair.a_star, c_pair.a, c_pair.a_star)
     assert all(m == ExactMatrix([[0]]) for m in out)
 
 
 def test_companions_sequences_arithmetic(kraw):
     pair = kraw(2, Fraction(2, 5))
-    b, b_star, c, c_star = companions(pair)
-    for x, y in ((b, b_star), (c, c_star)):
-        member = verify_leonard(x, y)
+    for member in companions(pair)[1:]:
         for seq in member.eigenvalue_sequences + member.dual_eigenvalue_sequences:
             assert classify_sequence(seq).tag is SequenceTag.ARITHMETIC
 
@@ -409,6 +408,6 @@ def test_companions_conjugate_covariantly(kraw):
     assert t.det() != 0
     t_inv = t.inverse()
     conjugated = verify_leonard(t * base.a * t_inv, t * base.a_star * t_inv)
-    direct = companions(conjugated)
-    pushed = tuple(t * m * t_inv for m in companions(base))
+    direct = [(q.a, q.a_star) for q in companions(conjugated)[1:]]
+    pushed = [(t * q.a * t_inv, t * q.a_star * t_inv) for q in companions(base)[1:]]
     assert direct == pushed
