@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import jsonio
 from .adjacency import (
@@ -120,8 +120,22 @@ def _parse_rational(raw: str, label: str) -> Fraction:
         raise InputError(f"{label} must be a rational like 2/5: {exc}")
 
 
-def _emit(report: Any, output: Optional[str], summary: str) -> None:
-    text = jsonio.dumps(report)
+def _emit(build: Callable[[], Any], output: Optional[str], summary: str) -> None:
+    """Write the report that build() returns.
+
+    Python limits int-to-str conversion to 4300 digits by default.  The
+    results of an input within that limit can be longer, so the limit is
+    lifted while the report is built and serialized; parsing the input
+    keeps it.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = jsonio.dumps(build())
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     if output:
         try:
             with open(output, "w", encoding="utf-8") as handle:
@@ -141,7 +155,7 @@ def _verify_or_reject(args) -> Optional[LeonardPair]:
         return verify_leonard(a, a_star)
     except (NotSimpleRationalSpectrum, NotTridiagonalizable) as exc:
         report = {"leonard_pair": False, "error": type(exc).__name__, "reason": str(exc)}
-        _emit(report, args.output, f"not a Leonard pair: {exc}")
+        _emit(lambda: report, args.output, f"not a Leonard pair: {exc}")
         return None
 
 
@@ -149,7 +163,7 @@ def _cmd_verify(args) -> int:
     pair = _verify_or_reject(args)
     if pair is None:
         return EXIT_NO
-    _emit(jsonio.pair_report_obj(pair), args.output, f"Leonard pair with d = {pair.d}")
+    _emit(lambda: jsonio.pair_report_obj(pair), args.output, f"Leonard pair with d = {pair.d}")
     return EXIT_YES
 
 
@@ -160,17 +174,20 @@ def _cmd_flags(args) -> int:
     flag_set = standard_flag_set(pair)
     flags = flag_set.all_flags()
     a_count = len(flag_set.a_flags)
-    report = {
-        "leonard_pair": True,
-        "d": pair.d,
-        "flags": [jsonio.flag_to_obj(f) for f in flags],
-        "a_standard": list(range(a_count)),
-        "a_star_standard": list(range(a_count, len(flags))),
-        "principal_relation": None
-        if pair.d == 0
-        else [list(range(a_count)), list(range(a_count, len(flags)))],
-    }
-    _emit(report, args.output, f"{len(set(flags))} distinct standard flags")
+    _emit(
+        lambda: {
+            "leonard_pair": True,
+            "d": pair.d,
+            "flags": [jsonio.flag_to_obj(f) for f in flags],
+            "a_standard": list(range(a_count)),
+            "a_star_standard": list(range(a_count, len(flags))),
+            "principal_relation": None
+            if pair.d == 0
+            else [list(range(a_count)), list(range(a_count, len(flags)))],
+        },
+        args.output,
+        f"{len(set(flags))} distinct standard flags",
+    )
     return EXIT_YES
 
 
@@ -204,7 +221,7 @@ def _cmd_adjacent(args) -> int:
             "dichotomy": None,
             "transition_identity": None,
         }
-        _emit(report, args.output, "adjacency is vacuous at d = 0")
+        _emit(lambda: report, args.output, "adjacency is vacuous at d = 0")
         return EXIT_YES
     verdict = are_adjacent(p1, p2)
     via_flags = are_adjacent_via_flags(p1, p2)
@@ -212,24 +229,23 @@ def _cmd_adjacent(args) -> int:
         raise TheoremViolation(f"split route says {verdict}, flag route {via_flags}")
     if not verdict:
         report = {"adjacent": False, "d": p1.d, "via_flags": via_flags}
-        _emit(report, args.output, "pairs are not adjacent")
+        _emit(lambda: report, args.output, "pairs are not adjacent")
         return EXIT_NO
     lab = build_labeling(p1, p2)
     identity = verify_transition_identity(lab)
     dichotomy = classify_dichotomy(lab)
-    report = {
-        "adjacent": True,
-        "d": p1.d,
-        "via_flags": via_flags,
-        "labeling": _labeling_obj(lab),
-        "dichotomy": {
-            "branch": dichotomy.tag.value,
-            "q": None if dichotomy.q is None else str(dichotomy.q),
-        },
-        "transition_identity": {"holds": identity.holds, "cells": identity.cells},
-    }
     _emit(
-        report,
+        lambda: {
+            "adjacent": True,
+            "d": p1.d,
+            "via_flags": via_flags,
+            "labeling": _labeling_obj(lab),
+            "dichotomy": {
+                "branch": dichotomy.tag.value,
+                "q": None if dichotomy.q is None else str(dichotomy.q),
+            },
+            "transition_identity": {"holds": identity.holds, "cells": identity.cells},
+        },
         args.output,
         f"adjacent Leonard pairs, {dichotomy.tag.value} branch, "
         f"identity verified on {identity.cells} cells",
@@ -287,8 +303,11 @@ def _cmd_triple(args) -> int:
         pairs = three_mutually_adjacent(args.d, *witnesses)
     except DependentVectors as exc:
         raise InputError(str(exc))
-    report = _triple_report(pairs, witnesses, p)
-    _emit(report, args.output, f"three mutually adjacent pairs at d = {args.d}")
+    _emit(
+        lambda: _triple_report(pairs, witnesses, p),
+        args.output,
+        f"three mutually adjacent pairs at d = {args.d}",
+    )
     return EXIT_YES
 
 
@@ -298,23 +317,26 @@ def _cmd_companions(args) -> int:
         nf, b_pair, c_pair = companions(pair)
     except NotArithmetic as exc:
         report = {"companions": False, "reason": str(exc)}
-        _emit(report, args.output, f"no companions: {exc}")
+        _emit(lambda: report, args.output, f"no companions: {exc}")
         return EXIT_NO
-    report = {
-        "companions": True,
-        "d": pair.d,
-        "normal_form": {
-            "p": str(nf.p),
-            "s": jsonio.matrix_to_obj(nf.s),
-            "affine": [str(x) for x in nf.affine],
+    _emit(
+        lambda: {
+            "companions": True,
+            "d": pair.d,
+            "normal_form": {
+                "p": str(nf.p),
+                "s": jsonio.matrix_to_obj(nf.s),
+                "affine": [str(x) for x in nf.affine],
+            },
+            "b": jsonio.matrix_to_obj(b_pair.a),
+            "b_star": jsonio.matrix_to_obj(b_pair.a_star),
+            "c": jsonio.matrix_to_obj(c_pair.a),
+            "c_star": jsonio.matrix_to_obj(c_pair.a_star),
+            "mutually_adjacent": True,
         },
-        "b": jsonio.matrix_to_obj(b_pair.a),
-        "b_star": jsonio.matrix_to_obj(b_pair.a_star),
-        "c": jsonio.matrix_to_obj(c_pair.a),
-        "c_star": jsonio.matrix_to_obj(c_pair.a_star),
-        "mutually_adjacent": True,
-    }
-    _emit(report, args.output, f"companions built at d = {pair.d}, p = {nf.p}")
+        args.output,
+        f"companions built at d = {pair.d}, p = {nf.p}",
+    )
     return EXIT_YES
 
 
@@ -327,13 +349,16 @@ def _cmd_classify_seq(args) -> int:
         result = classify_sequence(seq)
     except RepeatedEntry as exc:
         raise InputError(f"{args.sequence}: {exc}")
-    report = {
-        "class": result.tag.value,
-        "alpha": None if result.alpha is None else str(result.alpha),
-        "beta": None if result.beta is None else str(result.beta),
-        "q": None if result.q is None else str(result.q),
-    }
-    _emit(report, args.output, f"sequence is {result.tag.value}")
+    _emit(
+        lambda: {
+            "class": result.tag.value,
+            "alpha": None if result.alpha is None else str(result.alpha),
+            "beta": None if result.beta is None else str(result.beta),
+            "q": None if result.q is None else str(result.q),
+        },
+        args.output,
+        f"sequence is {result.tag.value}",
+    )
     return EXIT_YES if result.tag is not SequenceTag.NEITHER else EXIT_NO
 
 

@@ -19,7 +19,7 @@ from .errors import (
     NotADecomposition,
     NotTridiagonalizable,
 )
-from .linalg import ExactMatrix, Subspace, represent_in_basis, simple_rational_eigen
+from .linalg import ExactMatrix, Subspace, rank, represent_in_basis, simple_rational_eigen
 
 
 class Kind(Enum):
@@ -49,8 +49,7 @@ class Decomposition:
             raise NotADecomposition(
                 f"{len(comps)} lines cannot be a direct sum decomposition of Q^{n}"
             )
-        reps = [c.representative() for c in comps]
-        if Subspace.span(n, reps).dim != n:
+        if rank(ExactMatrix([c.representative() for c in comps])) != n:
             raise NotADecomposition("the component sum is not direct")
 
     @property

@@ -7,6 +7,22 @@ and changes of basis.  Matrices and subspaces are immutable, entries
 are ``fractions.Fraction``, and every result is exact, so equality of
 canonical forms decides equality of the underlying objects.
 
+Canonical forms (``rref``, ``Subspace.span``) are computed on
+``Fraction`` entries.  The elimination kernels behind them are not:
+they clear denominators once and work on Python ints, so no gcd is
+taken until a result is turned back into fractions.
+
+- The characteristic polynomial is that of the integer matrix D·M, with
+  D the lcm of the denominators.  It is computed modulo primes just
+  below 2^61 by reduction to upper Hessenberg form, and rebuilt by the
+  Chinese remainder theorem with the symmetric lift once the product of
+  the primes exceeds twice Hadamard's bound on its coefficients.
+- ``kernel``, ``rank``, ``ExactMatrix.det``, ``ExactMatrix.inverse`` and
+  ``represent_in_basis`` share one fraction-free Bareiss elimination:
+  each step divides exactly by the previous pivot, so every entry stays
+  a minor of the input, and back substitution yields the solutions
+  times one common denominator.
+
 Rational eigenvalues are found without factoring any number: the
 integer roots of a monic rescaling of the squarefree characteristic
 polynomial are Hensel-lifted from a small prime and confirmed by exact
@@ -20,7 +36,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import AmbientMismatch, NotSimpleRationalSpectrum, SingularBasis
@@ -186,37 +203,35 @@ class ExactMatrix:
         return tuple(sum((a * b for a, b in zip(row, vec)), ZERO) for row in self.entries)
 
     def inverse(self) -> "ExactMatrix":
+        """Solve B X = I by fraction-free elimination, where column j of
+        the integer matrix B is column j of this matrix times the lcm s_j
+        of its denominators; row j of the inverse is then s_j times row j
+        of X.  Columns are cleared, not rows, because bases of vectors
+        with their own denominators are the usual input."""
         if not self.is_square:
             raise SingularBasis("only square matrices can be inverted")
         n = self.rows
-        aug = [list(self.entries[i]) + [ONE if j == i else ZERO for j in range(n)]
-               for i in range(n)]
-        reduced, pivots = _rref_rows(aug)
-        if pivots != list(range(n)):
-            raise SingularBasis("matrix is singular")
-        return ExactMatrix([row[n:] for row in reduced[:n]])
+        columns, scales = zip(*(_scaled(col) for col in zip(*self.entries)))
+        rows = [
+            list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(zip(*columns))
+        ]
+        solutions, den = _solve(rows, n)
+        return ExactMatrix(
+            [
+                [Fraction(scales[i] * x[i], den) for x in solutions]
+                for i in range(n)
+            ]
+        )
 
     def det(self) -> Fraction:
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
-        rows = [list(r) for r in self.entries]
-        n = self.rows
-        sign = ONE
-        result = ONE
-        for col in range(n):
-            piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
-            if piv is None:
-                return ZERO
-            if piv != col:
-                rows[col], rows[piv] = rows[piv], rows[col]
-                sign = -sign
-            pivot = rows[col][col]
-            result *= pivot
-            for r in range(col + 1, n):
-                factor = rows[r][col] / pivot
-                if factor != 0:
-                    rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-        return sign * result
+        rows, scales = map(list, zip(*(_scaled(row) for row in self.entries)))
+        pivots, sign = _bareiss(rows)
+        if len(pivots) < self.rows:
+            return ZERO
+        return Fraction(sign * rows[-1][-1], prod(scales))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExactMatrix) and self.entries == other.entries
@@ -264,25 +279,102 @@ def rref(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
+def _scaled(vec: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The vector times the lcm of its denominators, and that lcm."""
+    den = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec], den
+
+
+def _integer_matrix(m: ExactMatrix) -> tuple[list[list[int]], int]:
+    """D·m and D, for D the lcm of all denominators of m."""
+    den = lcm(*(x.denominator for row in m.entries for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m.entries], den
+
+
+def _bareiss(rows: list[list[int]], width: int | None = None) -> tuple[list[int], int]:
+    """Fraction-free row echelon form of integer rows, in place (Bareiss).
+
+    Pivots are sought in the first ``width`` columns (all by default)
+    and brought up by row swaps.  Each step replaces the rows below the
+    pivot p by (p·row - a·pivot row) / (previous pivot), and the division
+    is exact: every entry stays a minor of the input.  So the k-th pivot
+    is, up to the sign of the row permutation, the determinant of the
+    input's first k pivot rows and pivot columns.  Returns the pivot
+    columns and that sign.
+    """
+    n_rows = len(rows)
+    width = len(rows[0]) if width is None else width
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(width):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        piv = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r][c:]
+        p = top[0]
+        for row in rows[r + 1 :]:
+            a = row[c]
+            if a:
+                row[c:] = [(p * x - a * y) // prev for x, y in zip(row[c:], top)]
+            elif p != prev:
+                row[c:] = [p * x // prev for x in row[c:]]
+        prev = p
+        pivots.append(c)
+    return pivots, sign
+
+
+def _back_substitute(
+    rows: list[list[int]], pivots: list[int], x: list[int], rhs: Sequence[int] | None = None
+) -> list[int]:
+    """Fill in the pivot entries of x, in place, so that the echelon rows
+    times x give rhs (zero by default) on the pivot rows.  The caller
+    scales x and rhs so that the solution is integral; every division
+    is then exact."""
+    width = len(x)
+    for i in range(len(pivots) - 1, -1, -1):
+        row, c = rows[i], pivots[i]
+        acc = sum(map(mul, row[c + 1 : width], x[c + 1 :]))
+        x[c] = ((rhs[i] if rhs else 0) - acc) // row[c]
+    return x
+
+
+def _solve(rows: list[list[int]], n: int) -> tuple[list[list[int]], int]:
+    """Solve S X = R for the n x n integer matrix S and the integer
+    right-hand sides R, given as the augmented rows (S | R).  Returns the
+    columns of den·X and the integer den (the last Bareiss pivot, ±det S).
+    Raises SingularBasis when S is singular."""
+    pivots, _ = _bareiss(rows, n)
+    if len(pivots) < n:
+        raise SingularBasis("matrix is singular")
+    den = rows[-1][n - 1]
+    return [
+        _back_substitute(rows, pivots, [0] * n, [den * row[j] for row in rows])
+        for j in range(n, len(rows[0]))
+    ], den
+
+
 def rank(m: ExactMatrix) -> int:
-    _, pivots = _rref_rows([list(r) for r in m.entries])
-    return len(pivots)
+    return len(_bareiss([_scaled(row)[0] for row in m.entries])[0])
 
 
 def kernel(m: ExactMatrix) -> tuple[Vector, ...]:
-    """Basis of the right kernel {x : m x = 0}, one vector per free column."""
-    rows, pivots = _rref_rows([list(r) for r in m.entries])
-    n = m.cols
-    pivot_set = set(pivots)
+    """Basis of the right kernel {x : m x = 0}, one vector per free column:
+    x is 1 on its free column and 0 on the others."""
+    rows = [_scaled(row)[0] for row in m.entries]
+    pivots, _ = _bareiss(rows)
+    den = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     basis = []
-    for c in range(n):
-        if c in pivot_set:
-            continue
-        x = [ZERO] * n
-        x[c] = ONE
-        for r, pc in enumerate(pivots):
-            x[pc] = -rows[r][c]
-        basis.append(tuple(x))
+    for c in sorted(set(range(m.cols)) - set(pivots)):
+        x = [0] * m.cols
+        x[c] = den
+        _back_substitute(rows, pivots, x)
+        basis.append(tuple(Fraction(v, den) for v in x))
     return tuple(basis)
 
 
@@ -410,23 +502,174 @@ def subspace_intersection(u: Subspace, w: Subspace) -> Subspace:
     return Subspace.span(n, vectors)
 
 
+# The 512 largest primes below 2^61, as 2^61 - k for these k; their
+# product exceeds 2^31000.  tests/test_linalg.py proves each one prime.
+_PRIMES = tuple(
+    2**61 - k
+    for k in (
+        1, 31, 45, 229, 259, 283, 339, 391, 403, 465, 531, 579, 675, 759, 799,
+        819, 829, 843, 859, 939, 985, 1015, 1153, 1195, 1215, 1281, 1299, 1351,
+        1371, 1425, 1489, 1525, 1533, 1543, 1609, 1621, 1669, 1741, 1753, 1813,
+        1845, 1849, 1855, 1863, 1869, 1909, 1921, 1923, 1945, 1959, 2023, 2083,
+        2115, 2133, 2185, 2371, 2373, 2383, 2385, 2401, 2539, 2551, 2595, 2605,
+        2665, 2695, 2911, 2919, 3015, 3045, 3069, 3079, 3081, 3105, 3139, 3151,
+        3153, 3183, 3295, 3325, 3331, 3361, 3363, 3373, 3409, 3441, 3465, 3625,
+        3669, 3793, 3799, 3835, 3865, 3895, 3913, 3931, 3933, 4003, 4015, 4075,
+        4119, 4141, 4185, 4219, 4243, 4351, 4359, 4393, 4431, 4443, 4459, 4465,
+        4473, 4525, 4575, 4599, 4659, 4723, 4729, 4749, 4789, 4795, 4819, 4863,
+        4885, 4969, 5043, 5079, 5103, 5169, 5211, 5263, 5283, 5289, 5305, 5349,
+        5383, 5389, 5473, 5529, 5565, 5593, 5661, 5719, 5725, 5779, 5793, 5811,
+        5859, 5941, 5949, 6031, 6049, 6061, 6081, 6103, 6139, 6279, 6345, 6355,
+        6375, 6433, 6469, 6471, 6535, 6553, 6583, 6621, 6655, 6705, 6735, 6825,
+        6829, 6831, 6889, 6891, 6901, 6903, 6999, 7011, 7015, 7083, 7159, 7221,
+        7245, 7333, 7395, 7489, 7521, 7549, 7551, 7575, 7591, 7635, 7771, 7795,
+        7851, 7941, 7963, 8029, 8061, 8121, 8133, 8223, 8235, 8251, 8383, 8473,
+        8511, 8533, 8559, 8565, 8575, 8613, 8635, 8721, 8763, 8851, 8883, 8895,
+        8905, 8929, 8931, 8973, 8995, 9079, 9133, 9171, 9181, 9189, 9201, 9285,
+        9313, 9339, 9393, 9405, 9415, 9435, 9511, 9541, 9589, 9729, 9783, 9813,
+        9831, 9849, 9853, 9901, 9925, 9933, 9961, 10021, 10039, 10059, 10063,
+        10071, 10081, 10125, 10183, 10239, 10245, 10273, 10329, 10393, 10405,
+        10431, 10435, 10459, 10479, 10489, 10581, 10591, 10605, 10633, 10729,
+        10731, 10855, 10879, 10933, 10941, 11001, 11029, 11061, 11103, 11191,
+        11215, 11245, 11263, 11323, 11331, 11353, 11361, 11389, 11421, 11451,
+        11469, 11479, 11505, 11539, 11595, 11683, 11791, 11809, 11859, 11869,
+        11883, 11913, 11925, 11935, 11953, 11961, 12039, 12159, 12165, 12243,
+        12285, 12291, 12295, 12379, 12393, 12429, 12453, 12463, 12481, 12499,
+        12513, 12541, 12559, 12565, 12571, 12603, 12633, 12639, 12723, 12789,
+        12831, 12943, 12951, 13123, 13161, 13189, 13221, 13269, 13273, 13369,
+        13471, 13579, 13585, 13591, 13593, 13669, 13695, 13699, 13711, 13759,
+        13929, 13945, 13959, 14001, 14035, 14053, 14059, 14101, 14139, 14143,
+        14175, 14241, 14371, 14409, 14433, 14515, 14563, 14565, 14593, 14641,
+        14685, 14719, 14743, 14755, 14785, 14811, 14829, 14865, 14871, 15051,
+        15085, 15123, 15139, 15151, 15261, 15279, 15445, 15453, 15483, 15603,
+        15609, 15691, 15735, 15769, 15873, 15931, 15949, 15975, 15981, 16023,
+        16035, 16111, 16119, 16171, 16225, 16273, 16275, 16281, 16303, 16345,
+        16363, 16423, 16441, 16489, 16519, 16569, 16575, 16609, 16663, 16719,
+        16731, 16749, 16789, 16873, 16875, 16945, 17053, 17125, 17161, 17233,
+        17335, 17365, 17385, 17473, 17499, 17505, 17529, 17583, 17715, 17739,
+        17815, 17841, 17871, 17881, 17941, 17973, 17995, 18043, 18175, 18213,
+        18271, 18291, 18343, 18369, 18403, 18421, 18429, 18435, 18459, 18513,
+        18619, 18655, 18781, 18831, 18841, 18925, 18981, 19011, 19023, 19051,
+        19141, 19249, 19309, 19321, 19341, 19381, 19521, 19575, 19635, 19713,
+        19719, 19761, 19863, 19893, 19951, 19965, 19975, 19981, 19993, 19999,
+        20019, 20091, 20115, 20119, 20131, 20149, 20223, 20251, 20299, 20305,
+        20335, 20409, 20433, 20523, 20683, 20725, 20739,
+    )
+)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve primes as bases, which proves
+    primality below 3.1·10^23 (Sorenson and Webster, Math. Comp. 86, 2017)."""
+    if n < 2:
+        return False
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _moduli() -> Iterator[int]:
+    """The primes below 2^61 in descending order: ``_PRIMES``, then the
+    next ones down, which only inputs with very long coefficients need."""
+    yield from _PRIMES
+    yield from filter(_is_prime, range(_PRIMES[-1] - 2, 2, -2))
+
+
+def _charpoly_mod(b: Sequence[Sequence[int]], p: int) -> list[int]:
+    """Characteristic polynomial of the integer matrix b modulo the
+    prime p, coefficients from constant to leading.
+
+    The matrix is reduced to upper Hessenberg form H by similarity
+    (a row operation paired with the inverse column operation), and
+    then p_m = (x - h_mm) p_{m-1} - sum_i h_{m-i,m} h_{m,m-1} ...
+    h_{m-i+1,m-i} p_{m-i-1} over the leading m x m blocks of H
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.2.9).
+    """
+    n = len(b)
+    h = [[x % p for x in row] for row in b]
+    for j in range(n - 2):
+        k = j + 1
+        piv = next((i for i in range(k, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            h[piv], h[k] = h[k], h[piv]
+            for row in h:
+                row[piv], row[k] = row[k], row[piv]
+        inv = pow(h[k][j], -1, p)
+        top = h[k][j:]
+        factors = [h[i][j] * inv % p for i in range(k + 1, n)]
+        for i, u in enumerate(factors, k + 1):
+            if u:
+                h[i][j:] = [(x - u * y) % p for x, y in zip(h[i][j:], top)]
+        if any(factors):
+            for row in h:
+                row[k] = (row[k] + sum(map(mul, factors, row[k + 1 :]))) % p
+    polys = [[1]]
+    for m in range(n):
+        poly = [0] + polys[m]
+        for i, c in enumerate(polys[m]):
+            poly[i] = (poly[i] - h[m][m] * c) % p
+        t = 1
+        for i in range(1, m + 1):
+            t = t * h[m - i + 1][m - i] % p
+            u = t * h[m - i][m] % p
+            if u:
+                for e, c in enumerate(polys[m - i]):
+                    poly[e] = (poly[e] - u * c) % p
+        polys.append(poly)
+    return polys[n]
+
+
 def charpoly(m: ExactMatrix) -> tuple[Fraction, ...]:
     """Monic characteristic polynomial, coefficients from constant to leading.
 
-    Computed by the trace recursion M_k = A (M_{k-1} + c_{n-k+1} I),
-    c_{n-k} = -tr(M_k)/k, which is exact in characteristic zero.
+    With D the lcm of the denominators, the coefficient c_k of x^k is
+    c_k(B) / D^(n-k) for the integer matrix B = D·M.  Each c_{n-k}(B)
+    is a signed sum of C(n, k) principal k x k minors, each at most R^k
+    by Hadamard's inequality, with R the largest row 2-norm of B.  So
+    the polynomial is computed modulo primes (``_charpoly_mod``) and
+    rebuilt by the Chinese remainder theorem until the product P of the
+    primes exceeds twice that bound (compared in squares, so R needs no
+    rounding); the residues then lift to the coefficients in
+    (-P/2, P/2].
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
     n = m.rows
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    power = m
-    coeffs[n - 1] = -power.trace()
-    for k in range(2, n + 1):
-        power = m * (power + coeffs[n - k + 1] * ExactMatrix.identity(n))
-        coeffs[n - k] = -power.trace() / k
-    return tuple(coeffs)
+    b, den = _integer_matrix(m)
+    norm2 = max(sum(x * x for x in row) for row in b)
+    # modulus > limit exactly when modulus^2 > 4 C(n, k)^2 norm2^k for all k
+    limit = isqrt(4 * max(comb(n, k) ** 2 * norm2**k for k in range(n + 1)))
+    coeffs, modulus = [0] * (n + 1), 1
+    for p in _moduli():
+        inv = pow(modulus, -1, p)
+        coeffs = [
+            c + modulus * ((r - c) * inv % p)
+            for c, r in zip(coeffs, _charpoly_mod(b, p))
+        ]
+        modulus *= p
+        if modulus > limit:
+            break
+    return tuple(
+        Fraction(c - modulus if 2 * c > modulus else c, den ** (n - k))
+        for k, c in enumerate(coeffs)
+    )
 
 
 def _primitive_int_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
@@ -621,7 +864,12 @@ def simple_rational_eigen(m: ExactMatrix) -> tuple[tuple[Fraction, Subspace], ..
         )
     result = []
     for lam in sorted(roots, reverse=True):
-        shifted = m - ExactMatrix.diagonal([lam] * n)
+        shifted = ExactMatrix(
+            [
+                [x - lam if i == j else x for j, x in enumerate(row)]
+                for i, row in enumerate(m.entries)
+            ]
+        )
         space = Subspace.span(n, kernel(shifted))
         if space.dim != 1:
             raise NotSimpleRationalSpectrum(
@@ -633,11 +881,29 @@ def simple_rational_eigen(m: ExactMatrix) -> tuple[tuple[Fraction, Subspace], ..
 
 def represent_in_basis(m: ExactMatrix, basis: Sequence[Iterable[Scalar]]) -> ExactMatrix:
     """Matrix of the operator in the given basis: S^{-1} m S with the
-    basis vectors as the columns of S."""
+    basis vectors as the columns of S.
+
+    With the basis vectors scaled to integers (column j of S_int is s_j
+    times column j of S) and B = D·m an integer matrix, one fraction-free
+    solve of S_int X = B S_int gives S^{-1} m S = s_i X_ij / (D s_j).
+    """
     if not m.is_square:
         raise ValueError("change of basis needs a square matrix")
     vecs = [as_vector(v) for v in basis]
-    if len(vecs) != m.rows or any(len(v) != m.rows for v in vecs):
+    n = m.rows
+    if len(vecs) != n or any(len(v) != n for v in vecs):
         raise AmbientMismatch("basis size differs from the matrix dimension")
-    s = ExactMatrix.from_columns(vecs)
-    return s.inverse() * m * s
+    columns, scales = zip(*(_scaled(v) for v in vecs))
+    b, den = _integer_matrix(m)
+    rows = [
+        list(s_row) + [sum(map(mul, b_row, col)) for col in columns]
+        for s_row, b_row in zip(zip(*columns), b)
+    ]
+    solutions, det = _solve(rows, n)
+    divisors = [den * det * s for s in scales]
+    return ExactMatrix(
+        [
+            [Fraction(scales[i] * x[i], q) for x, q in zip(solutions, divisors)]
+            for i in range(n)
+        ]
+    )

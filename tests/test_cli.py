@@ -62,6 +62,26 @@ def test_verify_prime_entries_past_trial_division(tmp_path, capsys):
     assert json.loads(out)["eigenvalue_sequences"] == [[str(q), str(p)], [str(p), str(q)]]
 
 
+def test_verify_reports_results_longer_than_the_int_str_limit(tmp_path, capsys):
+    """Entries of 2201 digits give eigenvalues (N K +- M) / (M K) whose
+    numerators pass Python's 4300-digit int-to-str limit."""
+    n, m, k = 10**2200 + 1, 10**2199 + 7, 10**2198 + 3
+    off = Fraction(1, k)
+    a = ExactMatrix([[Fraction(n, m), off], [off, Fraction(n, m)]])
+    path = write_pair(tmp_path / "long.json", a, ExactMatrix.diagonal([1, -1]))
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 0
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        theta = [Fraction(x) for x in json.loads(out)["eigenvalue_sequences"][0]]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert theta == [Fraction(n * k + m, m * k), Fraction(n * k - m, m * k)]
+
+
 def test_verify_non_square_is_usage_error(tmp_path, capsys):
     obj = {
         "a": {"rows": 1, "cols": 2, "entries": [["1", "2"]]},

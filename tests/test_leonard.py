@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from leonard_kit.leonard import (
     standard_decompositions,
     verify_leonard,
 )
-from leonard_kit.linalg import ExactMatrix, Subspace, subspace_intersection
+from leonard_kit.linalg import ExactMatrix, Subspace, charpoly, subspace_intersection
 
 
 def test_verify_krawtchouk_d1():
@@ -59,6 +60,30 @@ def test_verify_krawtchouk_rescaled_by_wide_prime(kraw):
     theta = tuple(c * (9 - 2 * i) for i in range(9))
     assert pair.eigenvalue_sequences[0] == theta
     assert set(pair.dual_eigenvalue_sequences) == {theta, theta[::-1]}
+
+
+def test_dense_conjugated_krawtchouk_d24(kraw):
+    """Correctness at scale: T A T^-1 and T A* T^-1 with T a dense random
+    integer matrix, entries in [-3, 3]."""
+    d = 24
+    base = kraw(d, Fraction(1, 3))
+    rng = random.Random(d)
+    while True:
+        t = ExactMatrix([[rng.randint(-3, 3) for _ in range(d + 1)] for _ in range(d + 1)])
+        if t.det() != 0:
+            break
+    t_inv = t.inverse()
+    a = t * base.a * t_inv
+    theta = tuple(Fraction(d - 2 * i) for i in range(d + 1))
+    expected = [Fraction(1)]
+    for root in theta:  # times (x - root)
+        expected = [Fraction(0)] + expected
+        for e in range(len(expected) - 1):
+            expected[e] -= root * expected[e + 1]
+    assert charpoly(a) == tuple(expected)
+    pair = verify_leonard(a, t * base.a_star * t_inv)
+    assert pair.eigenvalue_sequences[0] == theta
+    assert pair.dual_eigenvalue_sequences[0] == theta
 
 
 def test_verify_rejects_wide_irrational_block():

@@ -1,15 +1,20 @@
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import islice
+from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from leonard_kit import linalg
 from leonard_kit.errors import AmbientMismatch, NotSimpleRationalSpectrum, SingularBasis
 from leonard_kit.linalg import (
     ExactMatrix,
     Subspace,
+    _is_prime,
+    _moduli,
+    _PRIMES,
     _rational_roots,
     charpoly,
     kernel,
@@ -347,3 +352,212 @@ def test_similarity_preserves_charpoly(m):
     perm.reverse()
     basis = [tuple(1 if i == perm[j] else 0 for i in range(n)) for j in range(n)]
     assert charpoly(represent_in_basis(m, basis)) == charpoly(m)
+
+
+# --- integer kernels against the Fraction code they replaced -------------
+
+
+def _reference_gauss_jordan(rows):
+    """Fraction Gauss-Jordan to RREF in place; returns the pivot columns."""
+    n_rows, n_cols = len(rows), len(rows[0])
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        piv = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots
+
+
+def _reference_kernel(m):
+    rows = [list(r) for r in m.entries]
+    pivots = _reference_gauss_jordan(rows)
+    basis = []
+    for c in range(m.cols):
+        if c in pivots:
+            continue
+        x = [Fraction(0)] * m.cols
+        x[c] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            x[pc] = -rows[r][c]
+        basis.append(tuple(x))
+    return tuple(basis)
+
+
+def _reference_rank(m):
+    return len(_reference_gauss_jordan([list(r) for r in m.entries]))
+
+
+def _reference_inverse(m):
+    """Gauss-Jordan on (m | I), or None when m is singular."""
+    n = m.rows
+    aug = [list(m.entries[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    if _reference_gauss_jordan(aug) != list(range(n)):
+        return None
+    return ExactMatrix([row[n:] for row in aug])
+
+
+def _reference_charpoly(m):
+    """Faddeev-LeVerrier: M_k = A (M_{k-1} + c_{n-k+1} I), c_{n-k} = -tr(M_k)/k."""
+    n = m.rows
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    power = m
+    coeffs[n - 1] = -power.trace()
+    for k in range(2, n + 1):
+        power = m * (power + coeffs[n - k + 1] * ExactMatrix.identity(n))
+        coeffs[n - k] = -power.trace() / k
+    return tuple(coeffs)
+
+
+wide_rationals = st.builds(
+    Fraction, st.integers(-(2**200), 2**200), st.integers(1, 2**200)
+)
+
+
+def _matrices(rows, cols):
+    """Small or ~200-bit entries, or a product of lower rank."""
+    full = st.sampled_from([rationals, wide_rationals]).flatmap(
+        lambda elements: st.lists(
+            st.lists(elements, min_size=cols, max_size=cols),
+            min_size=rows,
+            max_size=rows,
+        ).map(ExactMatrix)
+    )
+    if min(rows, cols) == 1:
+        return full
+    low_rank = st.integers(1, min(rows, cols) - 1).flatmap(
+        lambda k: st.tuples(small_matrix(rows, k), small_matrix(k, cols))
+    ).map(lambda uv: uv[0] * uv[1])
+    return st.one_of(full, low_rank)
+
+
+oracle_square = st.integers(1, 5).flatmap(lambda n: _matrices(n, n))
+oracle_any = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(lambda s: _matrices(*s))
+ORACLE = settings(max_examples=80, deadline=None)
+
+
+@given(oracle_square)
+@example(ExactMatrix.zeros(3, 3))
+@example(ExactMatrix([[Fraction(-7, 3)]]))
+@ORACLE
+def test_charpoly_matches_faddeev_leverrier(m):
+    assert charpoly(m) == _reference_charpoly(m)
+
+
+@given(oracle_any)
+@example(ExactMatrix.zeros(2, 4))
+@example(ExactMatrix([[0]]))
+@example(ExactMatrix([[Fraction(5, 2)]]))
+@ORACLE
+def test_kernel_rank_match_gauss_jordan(m):
+    assert kernel(m) == _reference_kernel(m)
+    assert rank(m) == _reference_rank(m)
+
+
+@given(oracle_square)
+@example(ExactMatrix.zeros(2, 2))
+@example(ExactMatrix([[Fraction(-3, 8)]]))
+@ORACLE
+def test_inverse_det_match_references(m):
+    expected = _reference_inverse(m)
+    if expected is None:
+        with pytest.raises(SingularBasis):
+            m.inverse()
+    else:
+        assert m.inverse() == expected
+    assert m.det() == (-1) ** m.rows * _reference_charpoly(m)[0]
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(_matrices(n, n), _matrices(n, n))))
+@example((ExactMatrix([[2]]), ExactMatrix([[Fraction(1, 3)]])))
+@example((ExactMatrix([[1, 2], [3, 4]]), ExactMatrix.zeros(2, 2)))
+@ORACLE
+def test_represent_in_basis_matches_reference(ms):
+    m, s = ms
+    basis = [s.column(j) for j in range(s.cols)]
+    s_inv = _reference_inverse(s)
+    if s_inv is None:
+        with pytest.raises(SingularBasis):
+            represent_in_basis(m, basis)
+    else:
+        assert represent_in_basis(m, basis) == s_inv * m * s
+
+
+def _sylvester_hadamard(order):
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+def test_charpoly_at_exact_hadamard_bound():
+    """|det| of 2^40 times the order-8 Sylvester Hadamard matrix is
+    (sqrt(8) 2^40)^8 = 2^332, exactly the bound the CRT must exceed twice."""
+    m = ExactMatrix([[x << 40 for x in row] for row in _sylvester_hadamard(8)])
+    coeffs = charpoly(m)
+    assert abs(coeffs[0]) == 2**332
+    assert coeffs == _reference_charpoly(m)
+
+
+@pytest.mark.parametrize("entry", [-8, 8, -52, 52])
+def test_crt_stops_past_twice_the_bound(entry, monkeypatch):
+    """With the moduli 3, 5, 7, ...: for [[-8]] the product 15 exceeds the
+    bound 8 but not twice it, and for [[-52]] the product 105 leaves 52
+    exactly at the edge of the symmetric range."""
+    monkeypatch.setattr(linalg, "_PRIMES", (3, 5, 7, 11, 13))
+    assert charpoly(ExactMatrix([[entry]])) == (-entry, 1)
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _miller_rabin(n):
+    """A proof of primality below 3.1e23 with these bases (Sorenson-Webster)."""
+    if n < 2:
+        return False
+    if n in _MR_BASES:
+        return True
+    if any(n % a == 0 for a in _MR_BASES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_checked_in_primes_are_the_largest_below_2_61():
+    assert len(_PRIMES) == 512 and prod(_PRIMES) > 2**31000
+    assert list(_PRIMES) == sorted(_PRIMES, reverse=True) and _PRIMES[0] < 2**61
+    assert all(_miller_rabin(p) for p in _PRIMES)
+    odd = range(2**61 - 1, _PRIMES[-1] - 1, -2)
+    assert [n for n in odd if _miller_rabin(n)] == list(_PRIMES)
+
+
+def test_moduli_extend_past_the_table():
+    sieve = [n for n in range(200) if all(n % k for k in range(2, n)) and n > 1]
+    assert [n for n in range(200) if _is_prime(n)] == sieve
+    extra = list(islice(_moduli(), len(_PRIMES), len(_PRIMES) + 8))
+    below = (n for n in range(_PRIMES[-1] - 2, 0, -2) if _miller_rabin(n))
+    assert extra == list(islice(below, 8))
