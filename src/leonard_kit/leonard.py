@@ -63,10 +63,6 @@ class Decomposition:
     def inversion(self) -> "Decomposition":
         return Decomposition(self.components[::-1])
 
-    def basis_matrix(self) -> ExactMatrix:
-        """Canonical representatives of the components as columns."""
-        return ExactMatrix.from_columns([c.representative() for c in self.components])
-
 
 @dataclass(frozen=True)
 class LeonardPair:

@@ -7,21 +7,23 @@ and changes of basis.  Matrices and subspaces are immutable, entries
 are ``fractions.Fraction``, and every result is exact, so equality of
 canonical forms decides equality of the underlying objects.
 
-Canonical forms (``rref``, ``Subspace.span``) are computed on
-``Fraction`` entries.  The elimination kernels behind them are not:
-they clear denominators once and work on Python ints, so no gcd is
-taken until a result is turned back into fractions.
+Results are ``Fraction``s, but the elimination behind them is not: it
+clears denominators once and works on Python ints, so no gcd is taken
+until a result is turned back into fractions.
 
 - The characteristic polynomial is that of the integer matrix D·M, with
   D the lcm of the denominators.  It is computed modulo primes just
   below 2^61 by reduction to upper Hessenberg form, and rebuilt by the
   Chinese remainder theorem with the symmetric lift once the product of
   the primes exceeds twice Hadamard's bound on its coefficients.
-- ``kernel``, ``rank``, ``ExactMatrix.det``, ``ExactMatrix.inverse`` and
-  ``represent_in_basis`` share one fraction-free Bareiss elimination:
-  each step divides exactly by the previous pivot, so every entry stays
-  a minor of the input, and back substitution yields the solutions
-  times one common denominator.
+- ``rref``, ``Subspace.span``, ``kernel``, ``rank``, ``ExactMatrix.det``,
+  ``ExactMatrix.inverse`` and ``represent_in_basis`` share one
+  fraction-free Bareiss elimination: each step divides exactly by the
+  previous pivot, so every entry stays a minor of the input, and back
+  substitution yields the solutions times one common denominator.  The
+  canonical forms read their reduced rows off the kernel solutions.
+  Every change of basis S^{-1} M S in the package (the split route,
+  the Krawtchouk normal form) is one ``represent_in_basis`` solve.
 
 Rational eigenvalues are found without factoring any number: the
 integer roots of a monic rescaling of the squarefree characteristic
@@ -248,37 +250,6 @@ def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a * b - b * a
 
 
-def _rref_rows(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduce in place to RREF; return (rows, pivot column indices)."""
-    if not rows:
-        return rows, []
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return rows, pivots
-
-
-def rref(m: ExactMatrix) -> ExactMatrix:
-    """Reduced row echelon form: unit pivots, zeros above and below."""
-    rows, _ = _rref_rows([list(r) for r in m.entries])
-    return ExactMatrix(rows)
-
-
 def _scaled(vec: Sequence[Fraction]) -> tuple[list[int], int]:
     """The vector times the lcm of its denominators, and that lcm."""
     den = lcm(*(x.denominator for x in vec))
@@ -363,19 +334,36 @@ def rank(m: ExactMatrix) -> int:
     return len(_bareiss([_scaled(row)[0] for row in m.entries])[0])
 
 
+def _echelon(
+    vectors: Sequence[Sequence[Fraction]],
+) -> tuple[list[int], int, dict[int, list[int]]]:
+    """Fraction-free reduction of the rows, each cleared of denominators.
+
+    Returns the pivot columns, the last Bareiss pivot den (1 without
+    pivots), and for each free column c the integer vector x_c that is
+    den on c, 0 on the other free columns, and annihilated by the rows.
+    So x_c / den is the kernel vector of c, and the reduced row of the
+    i-th pivot p_i is 1 on p_i, -x_c[p_i] / den on each free column c
+    and 0 elsewhere: den is, up to sign, the determinant of the pivot
+    block, so every x_c is integral and every division exact.
+    """
+    rows = [_scaled(row)[0] for row in vectors]
+    pivots, _ = _bareiss(rows)
+    den = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    width = len(rows[0])
+    free = {}
+    for c in sorted(set(range(width)) - set(pivots)):
+        x = [0] * width
+        x[c] = den
+        free[c] = _back_substitute(rows, pivots, x)
+    return pivots, den, free
+
+
 def kernel(m: ExactMatrix) -> tuple[Vector, ...]:
     """Basis of the right kernel {x : m x = 0}, one vector per free column:
     x is 1 on its free column and 0 on the others."""
-    rows = [_scaled(row)[0] for row in m.entries]
-    pivots, _ = _bareiss(rows)
-    den = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
-    basis = []
-    for c in sorted(set(range(m.cols)) - set(pivots)):
-        x = [0] * m.cols
-        x[c] = den
-        _back_substitute(rows, pivots, x)
-        basis.append(tuple(Fraction(v, den) for v in x))
-    return tuple(basis)
+    _, den, free = _echelon(m.entries)
+    return tuple(tuple(Fraction(v, den) for v in x) for x in free.values())
 
 
 @dataclass(frozen=True)
@@ -416,8 +404,16 @@ class Subspace:
                 raise AmbientMismatch("vector length differs from ambient dimension")
         if not vecs:
             return cls(ambient_dim, ())
-        rows, pivots = _rref_rows([list(v) for v in vecs])
-        return cls(ambient_dim, tuple(tuple(r) for r in rows[: len(pivots)]))
+        pivots, den, free = _echelon(vecs)
+        basis = []
+        for p in pivots:
+            row = [ZERO] * ambient_dim
+            row[p] = ONE
+            for c, x in free.items():
+                if x[p]:
+                    row[c] = Fraction(-x[p], den)
+            basis.append(row)
+        return cls(ambient_dim, tuple(basis))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -464,6 +460,13 @@ class Subspace:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("subspaces live in different ambient spaces")
         return all(self.contains_vector(row) for row in other.basis)
+
+
+def rref(m: ExactMatrix) -> ExactMatrix:
+    """Reduced row echelon form: unit pivots, zeros above and below, and
+    the zero rows last."""
+    basis = Subspace.span(m.cols, m.entries).basis
+    return ExactMatrix(basis + ((ZERO,) * m.cols,) * (m.rows - len(basis)))
 
 
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
@@ -673,13 +676,8 @@ def charpoly(m: ExactMatrix) -> tuple[Fraction, ...]:
 
 
 def _primitive_int_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
-    den = 1
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    ints, _ = _scaled(coeffs)
+    g = gcd(*ints)
     return [v // g for v in ints]
 
 
@@ -757,12 +755,6 @@ def _squarefree_mod(f: Sequence[int], p: int) -> bool:
     return len(a) == 1
 
 
-def _primes() -> Iterator[int]:
-    for n in count(2):
-        if all(n % k for k in range(2, isqrt(n) + 1)):
-            yield n
-
-
 def _integer_roots(g: Sequence[int]) -> list[int] | None:
     """The integer roots of a monic squarefree integer polynomial, or None
     unless there are as many as its degree.
@@ -775,7 +767,7 @@ def _integer_roots(g: Sequence[int]) -> list[int] | None:
     residue is an exact root.
     """
     n = len(g) - 1
-    p = next(p for p in _primes() if _squarefree_mod(g, p))
+    p = next(p for p in filter(_is_prime, count(2)) if _squarefree_mod(g, p))
     residues = [r for r in range(p) if _eval_mod(g, r, p) == 0]
     if len(residues) < n:
         return None

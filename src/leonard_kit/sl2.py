@@ -34,11 +34,12 @@ from .linalg import (
     ExactMatrix,
     Scalar,
     Vector,
-    _rref_rows,
     as_fraction,
     as_vector,
     commutator,
     rank,
+    represent_in_basis,
+    rref,
     simple_rational_eigen,
 )
 from .sequences import SequenceTag, classify_sequence
@@ -163,10 +164,12 @@ def decompose_sl2(m: ExactMatrix, basis: ChevalleyBasis) -> Sl2Element:
     system = ExactMatrix(
         [[columns[c][r] for c in range(3)] + [target[r]] for r in range(4)]
     )
-    rows, pivots = _rref_rows([list(r) for r in system.entries])
-    if 3 in pivots or len(pivots) != 3:
+    reduced = rref(system)
+    alpha, beta, gamma = reduced.column(3)[:3]
+    if reduced != ExactMatrix(
+        [[1, 0, 0, alpha], [0, 1, 0, beta], [0, 0, 1, gamma], [0, 0, 0, 0]]
+    ):
         raise ValueError("the claimed Chevalley basis does not span sl2")
-    alpha, beta, gamma = (rows[k][3] for k in range(3))
     return Sl2Element(alpha, beta, gamma)
 
 
@@ -385,12 +388,10 @@ def krawtchouk_normal_form(pair: LeonardPair) -> KrawtchoukNormalForm:
             c.representative()
             for c in pair.a_standard_decompositions[orient].components
         ]
-        s0 = ExactMatrix.from_columns(reps)
-        s0_inv = s0.inverse()
         for theta_star in pair.dual_eigenvalue_sequences:
             alpha_star, beta_star = _normalizing_affine(theta_star, d)
             a_star_norm = alpha_star * pair.a_star + beta_star * identity
-            m = s0_inv * a_star_norm * s0
+            m = represent_in_basis(a_star_norm, reps)
             p = (Fraction(d) - m[0, 0]) / (2 * d)
             if p in (0, 1):
                 continue
@@ -407,15 +408,14 @@ def krawtchouk_normal_form(pair: LeonardPair) -> KrawtchoukNormalForm:
             _, target = _krawtchouk_matrices(d, p)
             if rescaled != target:
                 continue
-            s = ExactMatrix.from_columns(
-                [tuple(scales[i] * x for x in reps[i]) for i in range(d + 1)]
-            )
+            columns = [tuple(scales[i] * x for x in reps[i]) for i in range(d + 1)]
             a_norm = alpha * pair.a + beta * identity
-            if s.inverse() * a_norm * s != ExactMatrix.diagonal(
+            if represent_in_basis(a_norm, columns) != ExactMatrix.diagonal(
                 [d - 2 * i for i in range(d + 1)]
             ):
                 raise TheoremViolation("the normal form basis must diagonalize A")
             # S^-1 A* S needs no check: it is `rescaled`, just compared with `target`
+            s = ExactMatrix.from_columns(columns)
             return KrawtchoukNormalForm(s, p, (alpha, beta, alpha_star, beta_star))
     raise NotKrawtchouk(
         "no orientation matches the tridiagonal normal form; "

@@ -13,7 +13,7 @@ from enum import Enum
 from .errors import NotADecomposition, TheoremViolation
 from .flags import induced_flag, standard_flag_set
 from .leonard import Decomposition, LeonardPair
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, represent_in_basis
 
 
 class BidiagonalShape(Enum):
@@ -81,10 +81,9 @@ def split_type(dec: Decomposition, pair: LeonardPair) -> SplitType:
     component lines and not on the chosen representatives.
     """
     _check_ambient(dec, pair)
-    s = dec.basis_matrix()
-    s_inv = s.inverse()
-    shape_a = bidiagonal_shape(s_inv * pair.a * s)
-    shape_a_star = bidiagonal_shape(s_inv * pair.a_star * s)
+    reps = [c.representative() for c in dec.components]
+    shape_a = bidiagonal_shape(represent_in_basis(pair.a, reps))
+    shape_a_star = bidiagonal_shape(represent_in_basis(pair.a_star, reps))
     lu = _is_lower(shape_a) and _is_upper(shape_a_star)
     ul = _is_upper(shape_a) and _is_lower(shape_a_star)
     return _verdict(lu, ul, pair)

@@ -459,10 +459,16 @@ def test_charpoly_matches_faddeev_leverrier(m):
 @example(ExactMatrix.zeros(2, 4))
 @example(ExactMatrix([[0]]))
 @example(ExactMatrix([[Fraction(5, 2)]]))
+@example(ExactMatrix([[0, 3], [0, 0], [Fraction(1, 2), 1]]))
+@example(ExactMatrix([[1, Fraction(2, 3), 0, 5], [3, 2, 0, 15], [0, 0, 0, 0]]))
 @ORACLE
 def test_kernel_rank_match_gauss_jordan(m):
     assert kernel(m) == _reference_kernel(m)
     assert rank(m) == _reference_rank(m)
+    rows = [list(r) for r in m.entries]
+    pivots = _reference_gauss_jordan(rows)
+    assert rref(m) == ExactMatrix(rows)
+    assert Subspace.span(m.cols, m.entries).basis == tuple(map(tuple, rows[: len(pivots)]))
 
 
 @given(oracle_square)
