@@ -12,11 +12,11 @@ arithmetic or the q-classical branch.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
+from ._record import Record
 from .errors import (
     DegenerateDimension,
     DichotomyViolation,
@@ -30,8 +30,7 @@ from .sequences import SequenceClass, SequenceTag, classify_sequence
 from .split import SplitType, split_type
 
 
-@dataclass(frozen=True)
-class AdjacencyLabeling:
+class AdjacencyLabeling(Record):
     """Role labeling of the shared flag set of two adjacent pairs.
 
     w and x are the A-standard flags, y and z the A*-standard ones;
@@ -39,6 +38,8 @@ class AdjacencyLabeling:
     eta, and eta_star are the sequences read along [wx], [yz], [zw],
     and [xy] respectively.
     """
+
+    __slots__ = ("w", "x", "y", "z", "theta", "theta_star", "eta", "eta_star")
 
     w: Flag
     x: Flag
@@ -54,24 +55,28 @@ class AdjacencyLabeling:
         return len(self.theta) - 1
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(Record):
     """Outcome of the exact transition identity over all index cells."""
+
+    __slots__ = ("holds", "cells", "first_failure")
+    _defaults = {"first_failure": None}
 
     holds: bool
     cells: int
-    first_failure: Optional[tuple[int, int]] = None
+    first_failure: Optional[tuple[int, int]]
 
     def __bool__(self) -> bool:
         return self.holds
 
 
-@dataclass(frozen=True)
-class DichotomyResult:
+class DichotomyResult(Record):
     """Joint branch of the four labeled sequences."""
 
+    __slots__ = ("tag", "q")
+    _defaults = {"q": None}
+
     tag: SequenceTag
-    q: Optional[Fraction] = None
+    q: Optional[Fraction]
 
 
 def _require_same_space(p1: LeonardPair, p2: LeonardPair) -> None:

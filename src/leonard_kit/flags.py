@@ -9,21 +9,22 @@ through componentwise intersections; these two maps invert each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .errors import AmbientMismatch, DegenerateDimension, NotOpposite, TheoremViolation
 from .leonard import Decomposition, LeonardPair
 from .linalg import ExactMatrix, Subspace, rank, subspace_intersection, subspace_sum
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Record):
     """Chain of nested subspaces of dimensions 1 through d + 1."""
+
+    __slots__ = ("components",)
 
     components: tuple[Subspace, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         comps = tuple(self.components)
         object.__setattr__(self, "components", comps)
         if not comps:
@@ -92,9 +93,10 @@ def decomposition_from_flags(f: Flag, g: Flag) -> Decomposition:
     )
 
 
-@dataclass(frozen=True)
-class StandardFlagSet:
+class StandardFlagSet(Record):
     """The standard flags of a pair, tagged by which operator they diagonalize."""
+
+    __slots__ = ("a_flags", "a_star_flags")
 
     a_flags: tuple[Flag, ...]
     a_star_flags: tuple[Flag, ...]
@@ -118,9 +120,10 @@ def standard_flag_set(pair: LeonardPair) -> StandardFlagSet:
     return flag_set
 
 
-@dataclass(frozen=True)
-class PrincipalRelation:
+class PrincipalRelation(Record):
     """Partition of the four standard flags into the two role pairs."""
+
+    __slots__ = ("blocks",)
 
     blocks: frozenset[frozenset[Flag]]
 

@@ -9,10 +9,10 @@ graph of the off-diagonal entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from ._record import Record
 from .errors import (
     DecompositionNotStandard,
     DimensionMismatch,
@@ -29,13 +29,14 @@ class Kind(Enum):
     A_STAR = "a_star"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Ordered direct sum of one-dimensional subspaces covering the space."""
+
+    __slots__ = ("components",)
 
     components: tuple[Subspace, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         comps = tuple(self.components)
         object.__setattr__(self, "components", comps)
         if not comps:
@@ -64,8 +65,7 @@ class Decomposition:
         return Decomposition(self.components[::-1])
 
 
-@dataclass(frozen=True)
-class LeonardPair:
+class LeonardPair(Record):
     """A verified Leonard pair with its cached standard data.
 
     The decomposition tuples hold the two orientations (one when d = 0),
@@ -73,6 +73,16 @@ class LeonardPair:
     eigenvalue is larger listed first.  Sequence tuples are aligned
     index-for-index with the decomposition tuples.
     """
+
+    __slots__ = (
+        "a",
+        "a_star",
+        "d",
+        "a_standard_decompositions",
+        "a_star_standard_decompositions",
+        "eigenvalue_sequences",
+        "dual_eigenvalue_sequences",
+    )
 
     a: ExactMatrix
     a_star: ExactMatrix

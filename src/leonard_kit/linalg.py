@@ -35,13 +35,13 @@ entries, not the prime factors of the entries.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
+from ._record import Record
 from .errors import AmbientMismatch, NotSimpleRationalSpectrum, SingularBasis
 
 Rational = Fraction
@@ -366,8 +366,7 @@ def kernel(m: ExactMatrix) -> tuple[Vector, ...]:
     return tuple(tuple(Fraction(v, den) for v in x) for x in free.values())
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Subspace of Q^n held in canonical form.
 
     The basis rows are in reduced row echelon form (unit pivots, zeros
@@ -375,10 +374,12 @@ class Subspace:
     are equal exactly when they are the same subspace.
     """
 
+    __slots__ = ("ambient_dim", "basis")
+
     ambient_dim: int
     basis: tuple[Vector, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         object.__setattr__(
             self, "basis", tuple(as_vector(row) for row in self.basis)
         )

@@ -8,11 +8,11 @@ the branch and the parameters are recovered exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record
 from .errors import DimensionMismatch, RepeatedEntry
 from .linalg import ONE, Scalar, as_vector
 
@@ -23,18 +23,20 @@ class SequenceTag(Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class SequenceClass:
+class SequenceClass(Record):
     """Branch tag plus the exactly recovered parameters.
 
     Arithmetic carries (alpha, beta) with theta_i = alpha*i + beta;
     q-classical carries (q, alpha, beta) with theta_i = alpha*q^i + beta.
     """
 
+    __slots__ = ("tag", "alpha", "beta", "q")
+    _defaults = {"alpha": None, "beta": None, "q": None}
+
     tag: SequenceTag
-    alpha: Optional[Fraction] = None
-    beta: Optional[Fraction] = None
-    q: Optional[Fraction] = None
+    alpha: Optional[Fraction]
+    beta: Optional[Fraction]
+    q: Optional[Fraction]
 
 
 def _checked(seq: Iterable[Scalar]) -> tuple[Fraction, ...]:

@@ -12,10 +12,10 @@ tridiagonal normal form, from which two adjacent companions are built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from ._record import Record
 from .adjacency import check_mutually_adjacent
 from .errors import (
     DependentVectors,
@@ -58,15 +58,16 @@ def _independent(u: Vector, v: Vector) -> bool:
     return u[0] * v[1] - u[1] * v[0] != 0
 
 
-@dataclass(frozen=True)
-class ChevalleyBasis:
+class ChevalleyBasis(Record):
     """Basis e, f, h of sl2 with [e,f] = h, [e,h] = -2e, [f,h] = 2f."""
+
+    __slots__ = ("e", "f", "h")
 
     e: ExactMatrix
     f: ExactMatrix
     h: ExactMatrix
 
-    def __post_init__(self):
+    def _validate(self):
         for m in (self.e, self.f, self.h):
             if m.shape != (2, 2) or m.trace() != 0:
                 raise NotTraceless("Chevalley basis elements must be traceless 2x2")
@@ -86,22 +87,24 @@ class ChevalleyBasis:
         )
 
 
-@dataclass(frozen=True)
-class Sl2Element:
+class Sl2Element(Record):
     """Coefficients (alpha, beta, gamma) of alpha*h + beta*e + gamma*f
     relative to some Chevalley basis."""
+
+    __slots__ = ("alpha", "beta", "gamma")
 
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
 
 
-@dataclass(frozen=True)
-class KrawtchoukParameters:
+class KrawtchoukParameters(Record):
+    __slots__ = ("d", "p")
+
     d: int
     p: Fraction
 
-    def __post_init__(self):
+    def _validate(self):
         object.__setattr__(self, "p", as_fraction(self.p))
         if self.d < 0:
             raise InvalidP("the diameter must be nonnegative")
@@ -179,12 +182,13 @@ def lift(elem: Sl2Element, d: int) -> ExactMatrix:
     return elem.alpha * h + elem.beta * e + elem.gamma * f
 
 
-@dataclass(frozen=True)
-class PtlReport:
+class PtlReport(Record):
     """Verdicts of the three equivalent generation conditions for a
     plane pair (a, a*): four independent rational +-1 eigenvectors,
     generation with determinants -1, and the Chevalley form with
     beta*gamma = 1 - alpha^2 nonzero."""
+
+    __slots__ = ("eigenvector_condition", "generation_condition", "chevalley_condition")
 
     eigenvector_condition: bool
     generation_condition: bool
@@ -336,17 +340,19 @@ def affine_transform(
     return verify_leonard(al * pair.a + be * identity, als * pair.a_star + bes * identity)
 
 
-@dataclass(frozen=True)
-class KrawtchoukNormalForm:
+class KrawtchoukNormalForm(Record):
     """Change of basis S, parameter p, and the normalizing affine
     coefficients (alpha, beta, alpha_star, beta_star) such that
     conjugating the affinely normalized pair by S gives the Krawtchouk
     matrices exactly."""
 
+    __slots__ = ("s", "p", "affine", "note")
+    _defaults = {"note": None}
+
     s: ExactMatrix
     p: Fraction
     affine: tuple[Fraction, Fraction, Fraction, Fraction]
-    note: Optional[str] = None
+    note: Optional[str]
 
 
 def _normalizing_affine(seq: tuple[Fraction, ...], d: int) -> tuple[Fraction, Fraction]:

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -6,6 +5,7 @@ import pytest
 
 from leonard_kit import adjacency
 from leonard_kit.adjacency import (
+    AdjacencyLabeling,
     are_adjacent,
     are_adjacent_via_flags,
     build_labeling,
@@ -175,6 +175,12 @@ def test_transition_identity_role_extraction_needs_standard_decomposition(standa
         eigenvalue_sequence(
             pairs[0], decomposition_from_flags(lab.w, lab.z), Kind.A
         )
+
+
+def replace(lab, **changes):
+    """The labeling with some fields changed, rebuilt by its constructor."""
+    fields = {name: getattr(lab, name) for name in AdjacencyLabeling.__slots__}
+    return AdjacencyLabeling(**{**fields, **changes})
 
 
 def _synthetic_labeling(base, theta, theta_star, eta, eta_star):

@@ -1,6 +1,8 @@
 import json
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -323,3 +325,17 @@ def test_usage_error_from_argparse(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+def test_import_does_not_load_dataclasses():
+    """Every command pays for importing the package; the records must not
+    bring in dataclasses and the inspect machinery behind it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import leonard_kit.cli; "
+        "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
