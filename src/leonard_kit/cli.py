@@ -71,7 +71,8 @@ def _load_json(path: str) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON or UTF-8, an integer past the digit limit, or deep nesting
         raise InputError(f"{path} is not valid JSON: {exc}")
 
 

@@ -23,10 +23,6 @@ def fraction_from_obj(obj: Any) -> Fraction:
     return as_fraction(obj)
 
 
-def fraction_to_obj(x: Fraction) -> str:
-    return str(x)
-
-
 def vector_to_obj(v: Vector) -> list[str]:
     return [str(x) for x in v]
 

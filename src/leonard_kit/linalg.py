@@ -16,14 +16,14 @@ until a result is turned back into fractions.
   below 2^61 by reduction to upper Hessenberg form, and rebuilt by the
   Chinese remainder theorem with the symmetric lift once the product of
   the primes exceeds twice Hadamard's bound on its coefficients.
-- ``rref``, ``Subspace.span``, ``kernel``, ``rank``, ``ExactMatrix.det``,
-  ``ExactMatrix.inverse`` and ``represent_in_basis`` share one
-  fraction-free Bareiss elimination: each step divides exactly by the
-  previous pivot, so every entry stays a minor of the input, and back
-  substitution yields the solutions times one common denominator.  The
-  canonical forms read their reduced rows off the kernel solutions.
-  Every change of basis S^{-1} M S in the package (the split route,
-  the Krawtchouk normal form) is one ``represent_in_basis`` solve.
+- ``rref``, ``Subspace.span``, ``Subspace.contains``, ``kernel``, ``rank``,
+  ``ExactMatrix.det``, ``ExactMatrix.inverse`` and ``represent_all_in_basis``
+  share one fraction-free Bareiss elimination: each step divides exactly
+  by the previous pivot, so every entry stays a minor of the input, and
+  back substitution yields the solutions times one common denominator.
+  The canonical forms read their reduced rows off the kernel solutions.
+  Every change of basis S^{-1} M S and conjugation S M S^{-1} in the
+  package is one ``represent_all_in_basis`` solve for all its operators.
 
 Rational eigenvalues are found without factoring any number: the
 integer roots of a monic rescaling of the squarefree characteristic
@@ -446,21 +446,10 @@ class Subspace(Record):
             raise ValueError(f"representative needs a line, got dimension {self.dim}")
         return self.basis[0]
 
-    def contains_vector(self, v: Iterable[Scalar]) -> bool:
-        residual = list(as_vector(v))
-        if len(residual) != self.ambient_dim:
-            raise AmbientMismatch("vector length differs from ambient dimension")
-        for row in self.basis:
-            pivot = next(j for j, x in enumerate(row) if x != 0)
-            coeff = residual[pivot]
-            if coeff != 0:
-                residual = [x - coeff * y for x, y in zip(residual, row)]
-        return all(x == 0 for x in residual)
-
     def contains(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("subspaces live in different ambient spaces")
-        return all(self.contains_vector(row) for row in other.basis)
+        return other.is_zero or rank(ExactMatrix(self.basis + other.basis)) == self.dim
 
 
 def rref(m: ExactMatrix) -> ExactMatrix:
@@ -873,30 +862,46 @@ def simple_rational_eigen(m: ExactMatrix) -> tuple[tuple[Fraction, Subspace], ..
 
 
 def represent_in_basis(m: ExactMatrix, basis: Sequence[Iterable[Scalar]]) -> ExactMatrix:
-    """Matrix of the operator in the given basis: S^{-1} m S with the
-    basis vectors as the columns of S.
+    """S^{-1} m S, the operator in the given basis (the columns of S)."""
+    return represent_all_in_basis((m,), basis)[0]
+
+
+def represent_all_in_basis(
+    ms: Sequence[ExactMatrix], basis: Sequence[Iterable[Scalar]]
+) -> tuple[ExactMatrix, ...]:
+    """S^{-1} m S for each operator m, with the basis vectors as the
+    columns of S, from one elimination of S.
 
     With the basis vectors scaled to integers (column j of S_int is s_j
-    times column j of S) and B = D·m an integer matrix, one fraction-free
-    solve of S_int X = B S_int gives S^{-1} m S = s_i X_ij / (D s_j).
+    times column j of S) and B_k = D_k·m_k integer matrices, one
+    fraction-free solve of S_int X = (B_1 S_int | B_2 S_int | ...) gives
+    S^{-1} m_k S = s_i X_ij / (D_k s_j) on the k-th block of X.
     """
-    if not m.is_square:
-        raise ValueError("change of basis needs a square matrix")
     vecs = [as_vector(v) for v in basis]
-    n = m.rows
-    if len(vecs) != n or any(len(v) != n for v in vecs):
+    n = len(vecs)
+    if not all(m.is_square for m in ms):
+        raise ValueError("change of basis needs a square matrix")
+    if any(m.rows != n for m in ms) or any(len(v) != n for v in vecs):
         raise AmbientMismatch("basis size differs from the matrix dimension")
     columns, scales = zip(*(_scaled(v) for v in vecs))
-    b, den = _integer_matrix(m)
+    integer = [_integer_matrix(m) for m in ms]
     rows = [
-        list(s_row) + [sum(map(mul, b_row, col)) for col in columns]
-        for s_row, b_row in zip(zip(*columns), b)
+        list(s_row) + [sum(map(mul, b[i], col)) for b, _ in integer for col in columns]
+        for i, s_row in enumerate(zip(*columns))
     ]
-    solutions, det = _solve(rows, n)
-    divisors = [den * det * s for s in scales]
-    return ExactMatrix(
-        [
-            [Fraction(scales[i] * x[i], q) for x, q in zip(solutions, divisors)]
-            for i in range(n)
-        ]
+    xs, det = _solve(rows, n)
+    return tuple(
+        ExactMatrix(
+            [Fraction(s_i * x[i], den * det * s) for x, s in zip(xs[k * n :], scales)]
+            for i, s_i in enumerate(scales)
+        )
+        for k, (_, den) in enumerate(integer)
+    )
+
+
+def conjugate_all(ms: Sequence[ExactMatrix], s: ExactMatrix) -> tuple[ExactMatrix, ...]:
+    """S m S^{-1} for each operator m, from one elimination of S: it is
+    the transpose of m^T written in the basis of the rows of S."""
+    return tuple(
+        r.transpose() for r in represent_all_in_basis([m.transpose() for m in ms], s.entries)
     )

@@ -13,7 +13,7 @@ tridiagonal normal form, from which two adjacent companions are built.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ._record import Record
 from .adjacency import check_mutually_adjacent
@@ -37,8 +37,9 @@ from .linalg import (
     as_fraction,
     as_vector,
     commutator,
+    conjugate_all,
     rank,
-    represent_in_basis,
+    represent_all_in_basis,
     rref,
     simple_rational_eigen,
 )
@@ -80,11 +81,7 @@ class ChevalleyBasis(Record):
 
     @classmethod
     def standard(cls) -> "ChevalleyBasis":
-        return cls(
-            ExactMatrix([[0, 1], [0, 0]]),
-            ExactMatrix([[0, 0], [1, 0]]),
-            ExactMatrix.diagonal([1, -1]),
-        )
+        return cls(*standard_generators(1))
 
 
 class Sl2Element(Record):
@@ -135,9 +132,7 @@ def chevalley_from_basis(v0: Iterable[Scalar], v1: Iterable[Scalar]) -> Chevalle
     if not _independent(u0, u1):
         raise DependentVectors("v0 and v1 must be linearly independent")
     s = ExactMatrix.from_columns([u0, u1])
-    s_inv = s.inverse()
-    std = ChevalleyBasis.standard()
-    return ChevalleyBasis(s * std.e * s_inv, s * std.f * s_inv, s * std.h * s_inv)
+    return ChevalleyBasis(*conjugate_all(standard_generators(1), s))
 
 
 def matrix_with_eigenpairs(
@@ -149,7 +144,7 @@ def matrix_with_eigenpairs(
     if not _independent(a, b):
         raise DependentVectors("eigenvectors must be linearly independent")
     s = ExactMatrix.from_columns([a, b])
-    return s * ExactMatrix.diagonal([1, -1]) * s.inverse()
+    return conjugate_all((ExactMatrix.diagonal([1, -1]),), s)[0]
 
 
 def decompose_sl2(m: ExactMatrix, basis: ChevalleyBasis) -> Sl2Element:
@@ -174,6 +169,17 @@ def decompose_sl2(m: ExactMatrix, basis: ChevalleyBasis) -> Sl2Element:
     ):
         raise ValueError("the claimed Chevalley basis does not span sl2")
     return Sl2Element(alpha, beta, gamma)
+
+
+def _lift_all(
+    operators: Sequence[ExactMatrix], v0: Iterable[Scalar], v1: Iterable[Scalar], d: int
+) -> list[ExactMatrix]:
+    """Lift plane operators by their Chevalley coordinates for (v0, v1), read off
+    one solve: with S = (v0 | v1), S^{-1} m S = [[alpha, beta], [gamma, -alpha]]."""
+    reps = represent_all_in_basis(operators, (v0, v1))
+    if any(r[1, 1] != -r[0, 0] for r in reps):
+        raise TheoremViolation("a plane operator of the family must be traceless")
+    return [lift(Sl2Element(r[0, 0], r[0, 1], r[1, 0]), d) for r in reps]
 
 
 def lift(elem: Sl2Element, d: int) -> ExactMatrix:
@@ -289,9 +295,7 @@ def three_mutually_adjacent(
 ) -> tuple[LeonardPair, LeonardPair, LeonardPair]:
     """Lift the six operators to the (d+1)-dimensional module and verify
     the three resulting Leonard pairs and their mutual adjacency."""
-    operators = construct_six(v0, v1, w0, w1)
-    basis = chevalley_from_basis(v0, v1)
-    lifted = [lift(decompose_sl2(m, basis), d) for m in operators]
+    lifted = _lift_all(construct_six(v0, v1, w0, w1), v0, v1, d)
     pairs = (
         verify_leonard(lifted[0], lifted[1]),
         verify_leonard(lifted[2], lifted[3]),
@@ -394,10 +398,11 @@ def krawtchouk_normal_form(pair: LeonardPair) -> KrawtchoukNormalForm:
             c.representative()
             for c in pair.a_standard_decompositions[orient].components
         ]
+        # S^-1 (x M + y I) S = x S^-1 M S + y I: one solve serves every affine image
+        rep_a, rep_a_star = represent_all_in_basis((pair.a, pair.a_star), reps)
         for theta_star in pair.dual_eigenvalue_sequences:
             alpha_star, beta_star = _normalizing_affine(theta_star, d)
-            a_star_norm = alpha_star * pair.a_star + beta_star * identity
-            m = represent_in_basis(a_star_norm, reps)
+            m = alpha_star * rep_a_star + beta_star * identity
             p = (Fraction(d) - m[0, 0]) / (2 * d)
             if p in (0, 1):
                 continue
@@ -411,17 +416,14 @@ def krawtchouk_normal_form(pair: LeonardPair) -> KrawtchoukNormalForm:
                     for i in range(d + 1)
                 ]
             )
-            _, target = _krawtchouk_matrices(d, p)
+            a_target, target = _krawtchouk_matrices(d, p)
             if rescaled != target:
                 continue
-            columns = [tuple(scales[i] * x for x in reps[i]) for i in range(d + 1)]
-            a_norm = alpha * pair.a + beta * identity
-            if represent_in_basis(a_norm, columns) != ExactMatrix.diagonal(
-                [d - 2 * i for i in range(d + 1)]
-            ):
+            # the rescaling conjugates by a diagonal matrix, which fixes a diagonal one
+            if alpha * rep_a + beta * identity != a_target:
                 raise TheoremViolation("the normal form basis must diagonalize A")
             # S^-1 A* S needs no check: it is `rescaled`, just compared with `target`
-            s = ExactMatrix.from_columns(columns)
+            s = ExactMatrix.from_columns([[x * c for x in v] for c, v in zip(scales, reps)])
             return KrawtchoukNormalForm(s, p, (alpha, beta, alpha_star, beta_star))
     raise NotKrawtchouk(
         "no orientation matches the tridiagonal normal form; "
@@ -440,12 +442,8 @@ def companions(pair: LeonardPair) -> tuple[KrawtchoukNormalForm, LeonardPair, Le
     nf = krawtchouk_normal_form(pair)
     d, p = pair.d, nf.p
     witnesses = ((1, 0), (0, 1), (1, 1), (p, p - 1))
-    _, _, b, b_star, c, c_star = construct_six(*witnesses)
-    basis = chevalley_from_basis(witnesses[0], witnesses[1])
-    s, s_inv = nf.s, nf.s.inverse()
-    out = tuple(
-        s * lift(decompose_sl2(m, basis), d) * s_inv for m in (b, b_star, c, c_star)
-    )
+    plane = construct_six(*witnesses)[2:]
+    out = conjugate_all(_lift_all(plane, witnesses[0], witnesses[1], d), nf.s)
     b_pair = verify_leonard(out[0], out[1])
     c_pair = verify_leonard(out[2], out[3])
     if d >= 1 and not check_mutually_adjacent([pair, b_pair, c_pair]):

@@ -13,7 +13,7 @@ from enum import Enum
 from .errors import NotADecomposition, TheoremViolation
 from .flags import induced_flag, standard_flag_set
 from .leonard import Decomposition, LeonardPair
-from .linalg import ExactMatrix, represent_in_basis
+from .linalg import ExactMatrix, represent_all_in_basis
 
 
 class BidiagonalShape(Enum):
@@ -82,8 +82,8 @@ def split_type(dec: Decomposition, pair: LeonardPair) -> SplitType:
     """
     _check_ambient(dec, pair)
     reps = [c.representative() for c in dec.components]
-    shape_a = bidiagonal_shape(represent_in_basis(pair.a, reps))
-    shape_a_star = bidiagonal_shape(represent_in_basis(pair.a_star, reps))
+    rep_a, rep_a_star = represent_all_in_basis((pair.a, pair.a_star), reps)
+    shape_a, shape_a_star = bidiagonal_shape(rep_a), bidiagonal_shape(rep_a_star)
     lu = _is_lower(shape_a) and _is_upper(shape_a_star)
     ul = _is_upper(shape_a) and _is_lower(shape_a_star)
     return _verdict(lu, ul, pair)

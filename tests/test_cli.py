@@ -105,6 +105,43 @@ def test_verify_bad_json_is_usage_error(tmp_path, capsys):
     assert "JSON" in err
 
 
+def assert_usage_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "flags", "classify-seq"])
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert_usage_error(capsys, command, str(path))
+
+
+def vectors_file(tmp_path, v0_x):
+    path = tmp_path / "vectors.json"
+    path.write_bytes(b'{"v0": [%s, 0], "v1": [0, 1], "w0": [1, 1], "w1": [1, -1]}' % v0_x)
+    return str(path)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_vectors_with_integer_past_the_digit_limit_is_usage_error(tmp_path, capsys):
+    path = vectors_file(tmp_path, b"7" * 5000)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert_usage_error(capsys, "triple", "--d", "1", "--vectors", path)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_vectors_not_utf8_is_usage_error(tmp_path, capsys):
+    path = vectors_file(tmp_path, b'"\xff\xfe"')
+    assert_usage_error(capsys, "triple", "--d", "1", "--vectors", path)
+
+
 def test_flags_reports_four_flags(kraw_file, capsys):
     code, out, _ = run(capsys, "flags", kraw_file(2, "1/2"))
     assert code == 0

@@ -17,8 +17,10 @@ from leonard_kit.linalg import (
     _PRIMES,
     _rational_roots,
     charpoly,
+    conjugate_all,
     kernel,
     rank,
+    represent_all_in_basis,
     represent_in_basis,
     rref,
     simple_rational_eigen,
@@ -498,6 +500,91 @@ def test_represent_in_basis_matches_reference(ms):
             represent_in_basis(m, basis)
     else:
         assert represent_in_basis(m, basis) == s_inv * m * s
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(st.lists(_matrices(n, n), min_size=1, max_size=3), _matrices(n, n))
+    )
+)
+@example(([ExactMatrix([[Fraction(2, 3)]]), ExactMatrix([[-4]])], ExactMatrix([[Fraction(-5, 7)]])))
+@example(([ExactMatrix([[1]])], ExactMatrix([[0]])))
+@example(([ExactMatrix.identity(2), ExactMatrix([[0, 1], [1, 0]])], ExactMatrix([[1, 2], [2, 4]])))
+@ORACLE
+def test_one_solve_for_several_operators_matches_inverse_products(case):
+    """Every block of the one solve equals the products with the inverse,
+    and a singular basis is rejected before any block is read."""
+    ms, s = case
+    basis = [s.column(j) for j in range(s.cols)]
+    if _reference_inverse(s) is None:
+        with pytest.raises(SingularBasis):
+            represent_all_in_basis(ms, basis)
+        with pytest.raises(SingularBasis):
+            conjugate_all(ms, s)
+        return
+    s_inv = s.inverse()
+    assert represent_all_in_basis(ms, basis) == tuple(s_inv * m * s for m in ms)
+    assert conjugate_all(ms, s) == tuple(s * m * s_inv for m in ms)
+
+
+def test_one_solve_rejects_mismatched_operators():
+    basis = [(1, 0), (0, 1)]
+    with pytest.raises(ValueError):
+        represent_all_in_basis([ExactMatrix.identity(2), ExactMatrix([[1, 2]])], basis)
+    with pytest.raises(AmbientMismatch):
+        represent_all_in_basis([ExactMatrix.identity(2), ExactMatrix.identity(3)], basis)
+
+
+def _reference_contains(space, other):
+    """The row reduction Subspace.contains used before the rank test:
+    reduce each row of other by the canonical rows of space."""
+    if other.ambient_dim != space.ambient_dim:
+        raise AmbientMismatch("subspaces live in different ambient spaces")
+    for v in other.basis:
+        residual = list(v)
+        for row in space.basis:
+            pivot = next(j for j, x in enumerate(row) if x != 0)
+            coeff = residual[pivot]
+            if coeff != 0:
+                residual = [x - coeff * y for x, y in zip(residual, row)]
+        if any(residual):
+            return False
+    return True
+
+
+def _subspace_pairs(n):
+    """(U, W) with W spanned by combinations of U's spanning vectors and
+    extra vectors, so that both W ⊆ U and W ⊄ U occur; either may be 0."""
+    vectors = st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=n)
+    return st.tuples(vectors, vectors, st.lists(rationals, max_size=n)).map(
+        lambda t: (
+            Subspace.span(n, t[0]),
+            Subspace.span(
+                n,
+                [[sum(c * v[i] for c, v in zip(t[2], t[0])) for i in range(n)]] + t[1],
+            ),
+        )
+    )
+
+
+@given(st.integers(1, 5).flatmap(_subspace_pairs))
+@example((Subspace.zero(3), Subspace.zero(3)))
+@example((Subspace.zero(2), Subspace.line((1, 2))))
+@example((Subspace.line((1, 2)), Subspace.zero(2)))
+@example((Subspace.full(3), Subspace.line((0, 0, 1))))
+@ORACLE
+def test_contains_matches_row_reduction(spaces):
+    u, w = spaces
+    assert u.contains(w) == _reference_contains(u, w)
+    assert w.contains(u) == _reference_contains(w, u)
+
+
+def test_contains_rejects_ambient_mismatch():
+    for u, w in [(Subspace.zero(2), Subspace.zero(3)), (Subspace.full(2), Subspace.line((1, 0, 0)))]:
+        with pytest.raises(AmbientMismatch):
+            u.contains(w)
+        with pytest.raises(AmbientMismatch):
+            _reference_contains(u, w)
 
 
 def _sylvester_hadamard(order):

@@ -1,19 +1,25 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from leonard_kit import linalg, sl2
 from leonard_kit.errors import (
     DependentVectors,
     InvalidP,
     NotArithmetic,
     NotTraceless,
+    TheoremViolation,
     ZeroScale,
 )
 from leonard_kit.flags import standard_flag_set
 from leonard_kit.leonard import verify_leonard
 from leonard_kit.linalg import ExactMatrix, commutator
 from leonard_kit.sequences import SequenceTag, classify_sequence
+from leonard_kit.split import split_type
 from leonard_kit.sl2 import (
     ChevalleyBasis,
     KrawtchoukParameters,
@@ -28,6 +34,7 @@ from leonard_kit.sl2 import (
     lift,
     matrix_with_eigenpairs,
     standard_generators,
+    three_mutually_adjacent,
 )
 
 WITNESSES = ((1, 0), (0, 1), (1, 1), (1, -1))
@@ -411,3 +418,80 @@ def test_companions_conjugate_covariantly(kraw):
     direct = [(q.a, q.a_star) for q in companions(conjugated)[1:]]
     pushed = [(t * q.a * t_inv, t * q.a_star * t_inv) for q in companions(base)[1:]]
     assert direct == pushed
+
+
+# --- one solve against the inverse products it replaced -------------------
+
+plane_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+plane_vectors = st.tuples(plane_rationals, plane_rationals).filter(lambda v: v != (0, 0))
+independent_plane_pairs = st.tuples(plane_vectors, plane_vectors).filter(
+    lambda uv: uv[0][0] * uv[1][1] != uv[0][1] * uv[1][0]
+)
+SL2_ORACLE = settings(max_examples=60, deadline=None)
+
+
+@given(independent_plane_pairs)
+@example(((1, 0), (0, 1)))
+@example(((Fraction(1, 3), Fraction(-2, 3)), (1, 1)))
+@SL2_ORACLE
+def test_conjugations_match_inverse_products(uv):
+    s = ExactMatrix.from_columns(uv)
+    s_inv = s.inverse()
+    assert matrix_with_eigenpairs(*uv) == s * ExactMatrix.diagonal([1, -1]) * s_inv
+    std = ChevalleyBasis.standard()
+    assert chevalley_from_basis(*uv) == ChevalleyBasis(
+        s * std.e * s_inv, s * std.f * s_inv, s * std.h * s_inv
+    )
+
+
+@given(independent_plane_pairs, plane_rationals, plane_rationals, plane_rationals, st.integers(0, 3))
+@example(((1, 0), (0, 1)), Fraction(1), Fraction(0), Fraction(0), 2)
+@SL2_ORACLE
+def test_sl2_coordinates_match_decompose_sl2(uv, a, b, c, d):
+    m = ExactMatrix([[a, b], [c, -a]])
+    expected = lift(decompose_sl2(m, chevalley_from_basis(*uv)), d)
+    assert sl2._lift_all([m], *uv, d) == [expected]
+
+
+def test_sl2_coordinates_reject_a_traced_operator():
+    with pytest.raises(TheoremViolation):
+        sl2._lift_all([ExactMatrix([[1, 0], [0, 0]])], (1, 0), (1, 1), 2)
+
+
+@pytest.fixture
+def command_linalg_only(monkeypatch):
+    """ExactMatrix.inverse, matrix-by-matrix products and rref all raise."""
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("no inverse, matrix product or rref on a command path")
+
+    product = ExactMatrix.__mul__
+
+    def scalar_product(self, other):
+        if isinstance(other, ExactMatrix):
+            forbidden()
+        return product(self, other)
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", scalar_product)
+    monkeypatch.setattr(ExactMatrix, "inverse", forbidden)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "leonard_kit" and getattr(module, "rref", None) is linalg.rref:
+            monkeypatch.setattr(module, "rref", forbidden)
+
+
+def test_command_paths_run_on_the_one_solve(command_linalg_only, monkeypatch):
+    d, p = 3, Fraction(1, 3)
+    pairs = three_mutually_adjacent(d, (1, 0), (0, 1), (1, 1), (p, p - 1))
+    assert krawtchouk_normal_form(pairs[0]).p == p
+    _, b_pair, c_pair = companions(pairs[0])
+    assert {b_pair.a, c_pair.a} == {pairs[1].a, pairs[2].a}
+    nf, _, _ = companions(pairs[1])  # normal-form basis other than the identity
+    assert nf.s != ExactMatrix.identity(d + 1)
+
+    solves = []
+    solve = linalg._solve
+    monkeypatch.setattr(linalg, "_solve", lambda *args: solves.append(args) or solve(*args))
+    for dec in pairs[1].a_standard_decompositions + pairs[1].a_star_standard_decompositions:
+        before = len(solves)
+        split_type(dec, pairs[0])
+        assert len(solves) == before + 1
