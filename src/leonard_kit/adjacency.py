@@ -25,7 +25,7 @@ from .errors import (
     TheoremViolation,
 )
 from .flags import Flag, principal_relation, standard_flag_set
-from .leonard import Kind, LeonardPair, standard_decompositions
+from .leonard import LeonardPair
 from .sequences import SequenceClass, SequenceTag, classify_sequence
 from .split import SplitType, split_type
 
@@ -86,30 +86,30 @@ def _require_same_space(p1: LeonardPair, p2: LeonardPair) -> None:
         )
 
 
-def _all_standard_decompositions(pair: LeonardPair):
-    return standard_decompositions(pair, Kind.A) + standard_decompositions(
-        pair, Kind.A_STAR
+def _standard_bases_split(pair: LeonardPair, other: LeonardPair) -> bool:
+    return all(
+        split_type(decs[0], other) is not SplitType.NONE
+        for decs in (pair.a_standard_decompositions, pair.a_star_standard_decompositions)
     )
 
 
 def are_adjacent(p1: LeonardPair, p2: LeonardPair) -> bool:
     """Definition route: every standard decomposition of one pair is
     split for the other.  The condition is symmetric; both directions
-    are computed and must agree."""
+    are computed and must agree.
+
+    One orientation per kind suffices.  The other is its inversion, the
+    basis s_0..s_d listed backwards, which turns each matrix R into J R J
+    (J the reversal) and so swaps lower and upper bidiagonal: LU-split
+    becomes UL-split, and not split stays not split."""
     _require_same_space(p1, p2)
     if p1.d == 0:
         warnings.warn(
             "adjacency is vacuous on a one-dimensional space", stacklevel=2
         )
         return True
-    forward = all(
-        split_type(dec, p2) is not SplitType.NONE
-        for dec in _all_standard_decompositions(p1)
-    )
-    backward = all(
-        split_type(dec, p1) is not SplitType.NONE
-        for dec in _all_standard_decompositions(p2)
-    )
+    forward = _standard_bases_split(p1, p2)
+    backward = _standard_bases_split(p2, p1)
     if forward != backward:
         raise TheoremViolation("adjacency must be symmetric")
     return forward

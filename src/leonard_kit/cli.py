@@ -292,6 +292,8 @@ def _cmd_triple(args) -> int:
         for name in ("v0", "v1", "w0", "w1"):
             if name not in obj:
                 raise InputError(f"{args.vectors} is missing vector {name!r}")
+            if not isinstance(obj[name], list):
+                raise InputError(f"{args.vectors}: vector {name!r} must be a JSON list")
             try:
                 vec = tuple(jsonio.fraction_from_obj(x) for x in obj[name])
             except (TypeError, ValueError) as exc:

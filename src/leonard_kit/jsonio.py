@@ -42,7 +42,7 @@ def matrix_from_obj(obj: Any) -> ExactMatrix:
         if key not in obj:
             raise ValueError(f"matrix object is missing {key!r}")
     rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in (rows, cols)):
         raise ValueError("rows and cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows:
         raise ValueError(f"entries must be a list of {rows} rows")

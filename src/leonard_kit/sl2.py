@@ -38,9 +38,9 @@ from .linalg import (
     as_vector,
     commutator,
     conjugate_all,
+    kernel,
     rank,
     represent_all_in_basis,
-    rref,
     simple_rational_eigen,
 )
 from .sequences import SequenceTag, classify_sequence
@@ -113,16 +113,7 @@ def standard_generators(d: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     """The (d+1)-dimensional irreducible action of a Chevalley basis:
     E with superdiagonal d, d-1, ..., 1; F with subdiagonal 1, ..., d;
     H = diag(d, d-2, ..., -d)."""
-    if d < 0:
-        raise ValueError("the diameter must be nonnegative")
-    n = d + 1
-    e = [[ZERO] * n for _ in range(n)]
-    f = [[ZERO] * n for _ in range(n)]
-    for i in range(d):
-        e[i][i + 1] = Fraction(d - i)
-        f[i + 1][i] = Fraction(i + 1)
-    h = ExactMatrix.diagonal([d - 2 * i for i in range(n)])
-    return ExactMatrix(e), ExactMatrix(f), h
+    return tuple(lift(Sl2Element(*c), d) for c in ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
 
 
 def chevalley_from_basis(v0: Iterable[Scalar], v1: Iterable[Scalar]) -> ChevalleyBasis:
@@ -148,44 +139,55 @@ def matrix_with_eigenpairs(
 
 
 def decompose_sl2(m: ExactMatrix, basis: ChevalleyBasis) -> Sl2Element:
-    """Coefficients of a traceless plane operator in the given basis."""
+    """Coefficients of a traceless plane operator in the given basis.
+
+    A basis that spans sl2 is the one chevalley_from_basis(v0, f v0)
+    builds, v0 spanning the kernel of h - I; only the zero triple fails."""
     if m.shape != (2, 2):
         raise NotTraceless("decomposition needs a 2x2 matrix")
     if m.trace() != 0:
         raise NotTraceless("the matrix must be traceless")
-    columns = [
-        [basis.h[i, j] for i in range(2) for j in range(2)],
-        [basis.e[i, j] for i in range(2) for j in range(2)],
-        [basis.f[i, j] for i in range(2) for j in range(2)],
-    ]
-    target = [m[i, j] for i in range(2) for j in range(2)]
-    system = ExactMatrix(
-        [[columns[c][r] for c in range(3)] + [target[r]] for r in range(4)]
-    )
-    reduced = rref(system)
-    alpha, beta, gamma = reduced.column(3)[:3]
-    if reduced != ExactMatrix(
-        [[1, 0, 0, alpha], [0, 1, 0, beta], [0, 0, 1, gamma], [0, 0, 0, 0]]
-    ):
+    line = kernel(basis.h - ExactMatrix.identity(2))
+    if len(line) != 1:
         raise ValueError("the claimed Chevalley basis does not span sl2")
-    return Sl2Element(alpha, beta, gamma)
+    return _sl2_coordinates([m], line[0], basis.f.apply(line[0]))[0]
+
+
+def _sl2_coordinates(
+    operators: Sequence[ExactMatrix], v0: Iterable[Scalar], v1: Iterable[Scalar]
+) -> list[Sl2Element]:
+    """Coordinates of plane operators in chevalley_from_basis(v0, v1), read
+    off one solve: with S = (v0 | v1), S^{-1} m S = [[alpha, beta], [gamma, -alpha]]."""
+    reps = represent_all_in_basis(operators, (v0, v1))
+    if any(r[1, 1] != -r[0, 0] for r in reps):
+        raise TheoremViolation("a plane operator of the family must be traceless")
+    return [Sl2Element(r[0, 0], r[0, 1], r[1, 0]) for r in reps]
 
 
 def _lift_all(
     operators: Sequence[ExactMatrix], v0: Iterable[Scalar], v1: Iterable[Scalar], d: int
 ) -> list[ExactMatrix]:
-    """Lift plane operators by their Chevalley coordinates for (v0, v1), read off
-    one solve: with S = (v0 | v1), S^{-1} m S = [[alpha, beta], [gamma, -alpha]]."""
-    reps = represent_all_in_basis(operators, (v0, v1))
-    if any(r[1, 1] != -r[0, 0] for r in reps):
-        raise TheoremViolation("a plane operator of the family must be traceless")
-    return [lift(Sl2Element(r[0, 0], r[0, 1], r[1, 0]), d) for r in reps]
+    """Lift plane operators by their Chevalley coordinates for (v0, v1)."""
+    return [lift(elem, d) for elem in _sl2_coordinates(operators, v0, v1)]
 
 
 def lift(elem: Sl2Element, d: int) -> ExactMatrix:
-    """The action alpha*H + beta*E + gamma*F on the (d+1)-dimensional module."""
-    e, f, h = standard_generators(d)
-    return elem.alpha * h + elem.beta * e + elem.gamma * f
+    """The action alpha*H + beta*E + gamma*F on the (d+1)-dimensional
+    module: row i has alpha(d-2i) on the diagonal, beta(d-i) above it and
+    gamma*i below it."""
+    if d < 0:
+        raise ValueError("the diameter must be nonnegative")
+    alpha, beta, gamma = elem.alpha, elem.beta, elem.gamma
+    if not all(isinstance(c, (Fraction, int)) for c in (alpha, beta, gamma)):
+        raise TypeError("sl2 coefficients must be Fractions or integers")
+    rows = [[ZERO] * (d + 1) for _ in range(d + 1)]
+    for i in range(d + 1):
+        rows[i][i] = alpha * (d - 2 * i)
+        if i < d:
+            rows[i][i + 1] = beta * (d - i)
+        if i > 0:
+            rows[i][i - 1] = gamma * i
+    return ExactMatrix(rows)
 
 
 class PtlReport(Record):
@@ -307,16 +309,7 @@ def three_mutually_adjacent(
 
 
 def _krawtchouk_matrices(d: int, p: Fraction) -> tuple[ExactMatrix, ExactMatrix]:
-    n = d + 1
-    a = ExactMatrix.diagonal([d - 2 * i for i in range(n)])
-    rows = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = (1 - 2 * p) * (d - 2 * i)
-        if i < d:
-            rows[i][i + 1] = 2 * p * (d - i)
-        if i > 0:
-            rows[i][i - 1] = 2 * (1 - p) * i
-    return a, ExactMatrix(rows)
+    return lift(Sl2Element(1, 0, 0), d), lift(Sl2Element(1 - 2 * p, 2 * p, 2 * (1 - p)), d)
 
 
 def krawtchouk_pair(params: KrawtchoukParameters) -> LeonardPair:

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from leonard_kit import adjacency
+from leonard_kit import adjacency, linalg
 from leonard_kit.adjacency import (
     AdjacencyLabeling,
     are_adjacent,
@@ -24,6 +24,7 @@ from leonard_kit.flags import decomposition_from_flags
 from leonard_kit.leonard import Kind, eigenvalue_sequence, verify_leonard
 from leonard_kit.linalg import ExactMatrix
 from leonard_kit.sequences import SequenceTag
+from leonard_kit.split import SplitType, split_type
 
 
 def test_triple_members_pairwise_adjacent(standard_triple):
@@ -273,3 +274,47 @@ def test_more_than_three_guard(monkeypatch, standard_triple):
     monkeypatch.setattr(adjacency, "are_adjacent", lambda p, q: True)
     with pytest.raises(TheoremViolation):
         check_mutually_adjacent(pairs)
+
+
+# --- one orientation per kind ---------------------------------------------
+
+
+def _reference_are_adjacent(p1, p2):
+    """Every standard decomposition of each pair, both orientations of
+    both kinds, split for the other."""
+
+    def splits(pair, other):
+        decs = pair.a_standard_decompositions + pair.a_star_standard_decompositions
+        return all(split_type(dec, other) is not SplitType.NONE for dec in decs)
+
+    forward, backward = splits(p1, p2), splits(p2, p1)
+    assert forward == backward
+    return forward
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_are_adjacent_matches_all_orientations(standard_triple, kraw, d):
+    members = list(standard_triple(d))
+    members += [pair.swapped() for pair in members]
+    t = ExactMatrix([[1 if j >= i else 0 for j in range(d + 1)] for i in range(d + 1)])
+    t_inv = t.inverse()
+    members.append(verify_leonard(t * members[0].a * t_inv, t * members[0].a_star * t_inv))
+    members += [kraw(d, Fraction(1, 7)), kraw(d, Fraction(1, 3))]
+    verdicts = set()
+    for p1, p2 in combinations(members, 2):
+        verdict = are_adjacent(p1, p2)
+        assert verdict == _reference_are_adjacent(p1, p2)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_split_route_solves_once_per_standard_basis(standard_triple, monkeypatch):
+    pairs = standard_triple(3)
+    solves = []
+    solve = linalg._solve
+    monkeypatch.setattr(linalg, "_solve", lambda *args: solves.append(args) or solve(*args))
+    assert check_mutually_adjacent(pairs)
+    assert len(solves) == 12  # 3 pairs of pairs, 2 directions, one basis per kind
+    solves.clear()
+    assert are_adjacent(pairs[0], pairs[1])
+    assert len(solves) == 4

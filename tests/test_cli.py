@@ -142,6 +142,26 @@ def test_vectors_not_utf8_is_usage_error(tmp_path, capsys):
     assert_usage_error(capsys, "triple", "--d", "1", "--vectors", path)
 
 
+@pytest.mark.parametrize(
+    "name, vector",
+    [("v0", "10"), ("w0", {"1": 0, "1/2": 0})],
+    ids=["string", "object"],
+)
+def test_vector_that_is_not_a_list_is_usage_error(tmp_path, capsys, name, vector):
+    # iterating a string or an object would read its characters or keys
+    vectors = {"v0": [1, 0], "v1": [0, 1], "w0": [1, 1], "w1": [1, -1], name: vector}
+    path = tmp_path / "vectors.json"
+    path.write_text(json.dumps(vectors))
+    assert_usage_error(capsys, "triple", "--d", "1", "--vectors", str(path))
+
+
+def test_boolean_matrix_size_is_usage_error(tmp_path, capsys):
+    entry = {"rows": True, "cols": True, "entries": [["1"]]}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"a": entry, "a_star": entry}))
+    assert_usage_error(capsys, "verify", str(path))
+
+
 def test_flags_reports_four_flags(kraw_file, capsys):
     code, out, _ = run(capsys, "flags", kraw_file(2, "1/2"))
     assert code == 0

@@ -78,6 +78,14 @@ def test_flag_validation():
         Flag((Subspace.full(2), Subspace.full(2)))
 
 
+def test_flag_rejects_components_that_are_not_nested():
+    line = Subspace.line((1, 0, 0))
+    plane = Subspace.span(3, [(0, 1, 0), (0, 0, 1)])
+    with pytest.raises(ValueError, match="must be nested"):
+        Flag((line, plane, Subspace.full(3)))
+    assert Flag((line, Subspace.span(3, [(1, 0, 0), (0, 1, 0)]), Subspace.full(3))).d == 2
+
+
 def test_standard_flag_set_d1():
     pair = verify_leonard(ExactMatrix.diagonal([1, -1]), ExactMatrix([[0, 1], [1, 0]]))
     flag_set = standard_flag_set(pair)

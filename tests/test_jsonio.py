@@ -46,6 +46,14 @@ def test_matrix_rejects_floats_and_shape_lies(tmp_path, capsys):
         jsonio.matrix_from_obj({"rows": 1, "cols": 1})
 
 
+@pytest.mark.parametrize("size", [{"rows": True}, {"cols": True}, {"rows": False}])
+def test_matrix_rejects_boolean_sizes(size):
+    # bool is an int subclass; True must not pass for a 1
+    obj = {"rows": 1, "cols": 1, "entries": [["1"]], **size}
+    with pytest.raises(ValueError, match="positive integers"):
+        jsonio.matrix_from_obj(obj)
+
+
 def test_pair_round_trip(kraw):
     pair = kraw(2, Fraction(1, 3))
     obj = jsonio.pair_to_obj(pair.a, pair.a_star)

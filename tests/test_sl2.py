@@ -17,7 +17,7 @@ from leonard_kit.errors import (
 )
 from leonard_kit.flags import standard_flag_set
 from leonard_kit.leonard import verify_leonard
-from leonard_kit.linalg import ExactMatrix, commutator
+from leonard_kit.linalg import ExactMatrix, commutator, rref
 from leonard_kit.sequences import SequenceTag, classify_sequence
 from leonard_kit.split import split_type
 from leonard_kit.sl2 import (
@@ -444,13 +444,102 @@ def test_conjugations_match_inverse_products(uv):
     )
 
 
+def _reference_decompose_sl2(m, basis):
+    """Coordinates from the 4x4 system (h | e | f | m) on the flattened
+    matrices, reduced by rref."""
+    if m.shape != (2, 2):
+        raise NotTraceless("decomposition needs a 2x2 matrix")
+    if m.trace() != 0:
+        raise NotTraceless("the matrix must be traceless")
+    flat = [[x[i, j] for i in range(2) for j in range(2)] for x in (basis.h, basis.e, basis.f, m)]
+    reduced = rref(ExactMatrix([list(row) for row in zip(*flat)]))
+    alpha, beta, gamma = reduced.column(3)[:3]
+    if reduced != ExactMatrix(
+        [[1, 0, 0, alpha], [0, 1, 0, beta], [0, 0, 1, gamma], [0, 0, 0, 0]]
+    ):
+        raise ValueError("the claimed Chevalley basis does not span sl2")
+    return Sl2Element(alpha, beta, gamma)
+
+
+def _reference_generators(d):
+    n = d + 1
+    e = [[0] * n for _ in range(n)]
+    f = [[0] * n for _ in range(n)]
+    for i in range(d):
+        e[i][i + 1] = d - i
+        f[i + 1][i] = i + 1
+    return ExactMatrix(e), ExactMatrix(f), ExactMatrix.diagonal([d - 2 * i for i in range(n)])
+
+
+def _reference_lift(elem, d):
+    e, f, h = _reference_generators(d)
+    return elem.alpha * h + elem.beta * e + elem.gamma * f
+
+
 @given(independent_plane_pairs, plane_rationals, plane_rationals, plane_rationals, st.integers(0, 3))
 @example(((1, 0), (0, 1)), Fraction(1), Fraction(0), Fraction(0), 2)
 @SL2_ORACLE
 def test_sl2_coordinates_match_decompose_sl2(uv, a, b, c, d):
     m = ExactMatrix([[a, b], [c, -a]])
-    expected = lift(decompose_sl2(m, chevalley_from_basis(*uv)), d)
+    basis = chevalley_from_basis(*uv)
+    expected = _reference_lift(_reference_decompose_sl2(m, basis), d)
     assert sl2._lift_all([m], *uv, d) == [expected]
+    assert decompose_sl2(m, basis) == _reference_decompose_sl2(m, basis)
+
+
+def test_decompose_sl2_rejects_the_zero_triple_like_the_reference():
+    zero = ExactMatrix.zeros(2, 2)
+    basis = ChevalleyBasis(zero, zero, zero)
+    m = ExactMatrix([[1, 2], [3, -1]])
+    for decompose in (decompose_sl2, _reference_decompose_sl2):
+        with pytest.raises(ValueError, match="does not span sl2"):
+            decompose(m, basis)
+        with pytest.raises(NotTraceless):
+            decompose(ExactMatrix([[1, 0], [0, 0]]), basis)
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_generators_match_the_summed_reference(d):
+    assert standard_generators(d) == _reference_generators(d)
+
+
+@given(plane_rationals, plane_rationals, plane_rationals, st.integers(0, 5))
+@example(1, -2, 3, 3)  # integer coefficients
+@SL2_ORACLE
+def test_lift_matches_the_summed_reference(a, b, c, d):
+    elem = Sl2Element(a, b, c)
+    assert lift(elem, d) == _reference_lift(elem, d)
+
+
+@pytest.mark.parametrize("d", range(7))
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)])
+def test_krawtchouk_matrices_match_the_entrywise_reference(d, p):
+    n = d + 1
+    a_star = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a_star[i][i] = (1 - 2 * p) * (d - 2 * i)
+        if i < d:
+            a_star[i][i + 1] = 2 * p * (d - i)
+        if i > 0:
+            a_star[i][i - 1] = 2 * (1 - p) * i
+    expected = (ExactMatrix.diagonal([d - 2 * i for i in range(n)]), ExactMatrix(a_star))
+    assert sl2._krawtchouk_matrices(d, p) == expected
+
+
+@pytest.mark.parametrize("bad", ["1/2", 0.5, None])
+def test_lift_rejects_coefficients_that_are_not_exact(bad):
+    for elem in (Sl2Element(bad, 0, 0), Sl2Element(0, bad, 0), Sl2Element(0, 0, bad)):
+        with pytest.raises(TypeError):
+            lift(elem, 2)
+        with pytest.raises(TypeError):
+            _reference_lift(elem, 2)
+
+
+def test_negative_diameter_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        lift(Sl2Element(1, 0, 0), -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        standard_generators(-1)
 
 
 def test_sl2_coordinates_reject_a_traced_operator():

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leonard_kit.errors import NotADecomposition
-from leonard_kit.flags import standard_flag_set
+from leonard_kit.flags import decomposition_from_flags, standard_flag_set
 from leonard_kit.leonard import Decomposition, Kind, standard_decompositions, verify_leonard
 from leonard_kit.linalg import ExactMatrix, Subspace
 from leonard_kit.split import (
@@ -81,8 +83,6 @@ def test_split_inversion_swaps_lu_and_ul(standard_triple):
 
 
 def test_routes_agree_on_all_flag_combinations(kraw, standard_triple):
-    from leonard_kit.flags import decomposition_from_flags
-
     for pair in (kraw(2, Fraction(1, 2)), standard_triple(3)[1]):
         flags = standard_flag_set(pair).all_flags()
         for x in flags:
@@ -94,8 +94,6 @@ def test_routes_agree_on_all_flag_combinations(kraw, standard_triple):
 
 
 def test_mixed_flag_decomposition_is_lu(kraw):
-    from leonard_kit.flags import decomposition_from_flags
-
     pair = kraw(2, Fraction(1, 3))
     flag_set = standard_flag_set(pair)
     x = flag_set.a_star_flags[0]
@@ -126,3 +124,46 @@ def test_wrong_ambient_rejected(kraw):
         split_type(dec, pair)
     with pytest.raises(NotADecomposition):
         split_type_via_flags(dec, pair)
+
+
+# --- an inversion flips the split type ------------------------------------
+
+FLIP = {
+    SplitType.LU: SplitType.UL,
+    SplitType.UL: SplitType.LU,
+    SplitType.BOTH: SplitType.BOTH,
+    SplitType.NONE: SplitType.NONE,
+}
+
+
+def assert_inversion_flips(dec, pair):
+    assert split_type(dec.inversion(), pair) is FLIP[split_type(dec, pair)]
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_inversion_flips_split_type_of_standard_decompositions(standard_triple, d):
+    # the reversed basis turns each matrix R into J R J, which swaps lower
+    # and upper bidiagonal; adjacency tests one orientation per kind on this
+    members = list(standard_triple(d))
+    members += [pair.swapped() for pair in members]
+    for source in members:
+        decs = source.a_standard_decompositions + source.a_star_standard_decompositions
+        flags = standard_flag_set(source).all_flags() if d >= 1 else ()
+        decs += tuple(
+            decomposition_from_flags(x, y) for x in flags for y in flags if x != y
+        )
+        for dec in decs:
+            for pair in members:
+                assert_inversion_flips(dec, pair)
+
+
+@given(st.integers(1, 3), st.integers(0, 2), st.data())
+@settings(max_examples=60, deadline=None)
+def test_inversion_flips_split_type_of_random_decompositions(standard_triple, d, member, data):
+    pair = standard_triple(d)[member]
+    entries = st.integers(-3, 3).map(Fraction)
+    vectors = data.draw(
+        st.lists(st.lists(entries, min_size=d + 1, max_size=d + 1), min_size=d + 1, max_size=d + 1)
+        .filter(lambda rows: ExactMatrix(rows).det() != 0)
+    )
+    assert_inversion_flips(Decomposition(tuple(Subspace.line(v) for v in vectors)), pair)
