@@ -64,7 +64,6 @@ from .linalg import (
     kernel,
     rank,
     represent_in_basis,
-    rref,
     simple_rational_eigen,
     subspace_intersection,
     subspace_sum,

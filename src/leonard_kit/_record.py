@@ -5,6 +5,12 @@ verified pairs, sequence classes, ...) are frozen records that compare
 and hash by value.  They share the plain methods below instead of
 methods generated and compiled per class, which keeps importing the
 package, and so starting every command, cheap.
+
+Public constructors always validate.  ``_derived`` binds without the
+check, and builds only records derived from checked ones: the rows of
+``Subspace.span``, canonical by elimination; ``induced_flag``'s partial
+sums of a direct sum of n lines; ``Decomposition.inversion``; and the
+primary standard decomposition, eigenlines of distinct eigenvalues.
 """
 
 from __future__ import annotations
@@ -48,6 +54,13 @@ class Record:
                     + ", ".join(map(repr, kwargs))
                 )
         self._validate()
+
+    @classmethod
+    def _derived(cls, *values):
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            _bind(self, name, value)
+        return self
 
     def _validate(self) -> None:
         """Check the bound fields; a subclass overrides this to validate."""

@@ -24,7 +24,7 @@ from .errors import (
     NotAdjacent,
     TheoremViolation,
 )
-from .flags import Flag, principal_relation, standard_flag_set
+from .flags import Flag, standard_flag_set
 from .leonard import LeonardPair
 from .sequences import SequenceClass, SequenceTag, classify_sequence
 from .split import SplitType, split_type
@@ -116,13 +116,16 @@ def are_adjacent(p1: LeonardPair, p2: LeonardPair) -> bool:
 
 
 def are_adjacent_via_flags(p1: LeonardPair, p2: LeonardPair) -> bool:
-    """Flag route: equal standard flag sets and different principal relations."""
+    """Flag route: equal standard flag sets and different principal relations,
+    read by role: the four distinct flags of p1 all lie among p2's, and
+    exactly one A-flag of p1 is an A-flag of p2."""
     _require_same_space(p1, p2)
     if p1.d == 0:
         raise DegenerateDimension("the flag route needs dimension at least 2")
-    if standard_flag_set(p1).as_set() != standard_flag_set(p2).as_set():
+    fs1, fs2 = standard_flag_set(p1), standard_flag_set(p2)
+    if not all(f in fs2.all_flags() for f in fs1.all_flags()):
         return False
-    return principal_relation(p1) != principal_relation(p2)
+    return (fs1.a_flags[0] in fs2.a_flags) != (fs1.a_flags[1] in fs2.a_flags)
 
 
 def _sole(flags: Sequence[Flag], others: Sequence[Flag]) -> Flag:

@@ -187,7 +187,7 @@ def _cmd_flags(args) -> int:
             else [list(range(a_count)), list(range(a_count, len(flags)))],
         },
         args.output,
-        f"{len(set(flags))} distinct standard flags",
+        f"{4 if pair.d else 1} distinct standard flags",
     )
     return EXIT_YES
 

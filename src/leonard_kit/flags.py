@@ -10,6 +10,7 @@ through componentwise intersections; these two maps invert each other.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 from ._record import Record
 from .errors import AmbientMismatch, DegenerateDimension, NotOpposite, TheoremViolation
@@ -56,7 +57,7 @@ def induced_flag(dec: Decomposition) -> Flag:
     for comp in dec.components:
         partial = subspace_sum(partial, comp)
         chain.append(partial)
-    return Flag(tuple(chain))
+    return Flag._derived(tuple(chain))
 
 
 def _meet_trivially(u: Subspace, w: Subspace) -> bool:
@@ -115,7 +116,8 @@ def standard_flag_set(pair: LeonardPair) -> StandardFlagSet:
     a_flags = tuple(induced_flag(dec) for dec in pair.a_standard_decompositions)
     s_flags = tuple(induced_flag(dec) for dec in pair.a_star_standard_decompositions)
     flag_set = StandardFlagSet(a_flags, s_flags)
-    if pair.d >= 1 and len(flag_set.as_set()) != 4:
+    flags = flag_set.all_flags()
+    if pair.d >= 1 and (len(flags) != 4 or any(f == g for f, g in combinations(flags, 2))):
         raise TheoremViolation("a Leonard pair must carry four standard flags")
     return flag_set
 

@@ -62,7 +62,7 @@ class Decomposition(Record):
         return len(self.components) - 1
 
     def inversion(self) -> "Decomposition":
-        return Decomposition(self.components[::-1])
+        return Decomposition._derived(self.components[::-1])
 
 
 class LeonardPair(Record):
@@ -160,7 +160,7 @@ def _standard_side(
     spaces = tuple(eigen[k][1] for k in order)
     if len(order) >= 2 and values[0] < values[-1]:
         values, spaces = values[::-1], spaces[::-1]
-    primary = Decomposition(spaces)
+    primary = Decomposition._derived(spaces)
     if len(order) == 1:
         return (primary,), (values,)
     return (primary, primary.inversion()), (values, values[::-1])

@@ -16,7 +16,7 @@ until a result is turned back into fractions.
   below 2^61 by reduction to upper Hessenberg form, and rebuilt by the
   Chinese remainder theorem with the symmetric lift once the product of
   the primes exceeds twice Hadamard's bound on its coefficients.
-- ``rref``, ``Subspace.span``, ``Subspace.contains``, ``kernel``, ``rank``,
+- ``Subspace.span``, ``Subspace.contains``, ``kernel``, ``rank``,
   ``ExactMatrix.det``, ``ExactMatrix.inverse`` and ``represent_all_in_basis``
   share one fraction-free Bareiss elimination: each step divides exactly
   by the previous pivot, so every entry stays a minor of the input, and
@@ -413,8 +413,8 @@ class Subspace(Record):
             for c, x in free.items():
                 if x[p]:
                     row[c] = Fraction(-x[p], den)
-            basis.append(row)
-        return cls(ambient_dim, tuple(basis))
+            basis.append(tuple(row))
+        return cls._derived(ambient_dim, tuple(basis))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -450,13 +450,6 @@ class Subspace(Record):
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("subspaces live in different ambient spaces")
         return other.is_zero or rank(ExactMatrix(self.basis + other.basis)) == self.dim
-
-
-def rref(m: ExactMatrix) -> ExactMatrix:
-    """Reduced row echelon form: unit pivots, zeros above and below, and
-    the zero rows last."""
-    basis = Subspace.span(m.cols, m.entries).basis
-    return ExactMatrix(basis + ((ZERO,) * m.cols,) * (m.rows - len(basis)))
 
 
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
