@@ -8,7 +8,9 @@ package, and so starting every command, cheap.
 
 Public constructors always validate.  ``_derived`` binds without the
 check, and builds only records derived from checked ones: the rows of
-``Subspace.span``, canonical by elimination; ``induced_flag``'s partial
+``Subspace.span``, canonical by elimination; each eigenline of
+``simple_rational_eigen``, whose first nonzero entry is 1 by
+construction, the reduced form of a line; ``induced_flag``'s partial
 sums of a direct sum of n lines; ``Decomposition.inversion``; and the
 primary standard decomposition, eigenlines of distinct eigenvalues.
 """

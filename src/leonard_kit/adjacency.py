@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 from typing import Optional, Sequence
 
 from ._record import Record
@@ -165,27 +166,23 @@ def verify_transition_identity(lab: AdjacencyLabeling) -> IdentityCheck:
         prod_{k<j} (theta_{d-i} - theta_{d-k}) / (theta_{d-j} - theta_{d-k})
             = prod_{j<k<=i} (eta_0 - eta_k) / (eta_j - eta_k)
 
-    with empty products equal to one."""
+    with empty products equal to one.  The left denominator depends on j
+    alone; the right products of each j gain one factor per i, and the
+    left numerator of each i one factor per j, so all cells take O(d^2)."""
     theta, eta = lab.theta, lab.eta
     d = lab.d
-    cells = 0
-    first_failure = None
+    cells = (d + 1) * (d + 2) // 2
+    lhs_den = [prod(theta[d - j] - theta[d - k] for k in range(j)) for j in range(d + 1)]
+    rhs_num, rhs_den = [], []
     for i in range(d + 1):
+        rhs_num = [x * (eta[0] - eta[i]) for x in rhs_num] + [1]
+        rhs_den = [x * (eta[j] - eta[i]) for j, x in enumerate(rhs_den)] + [1]
+        lhs_num = 1
         for j in range(i + 1):
-            cells += 1
-            if first_failure is not None:
-                continue
-            lhs_num = lhs_den = Fraction(1)
-            for k in range(j):
-                lhs_num *= theta[d - i] - theta[d - k]
-                lhs_den *= theta[d - j] - theta[d - k]
-            rhs_num = rhs_den = Fraction(1)
-            for k in range(j + 1, i + 1):
-                rhs_num *= eta[0] - eta[k]
-                rhs_den *= eta[j] - eta[k]
-            if lhs_num * rhs_den != rhs_num * lhs_den:
-                first_failure = (i, j)
-    return IdentityCheck(first_failure is None, cells, first_failure)
+            if lhs_num * rhs_den[j] != rhs_num[j] * lhs_den[j]:
+                return IdentityCheck(False, cells, (i, j))
+            lhs_num *= theta[d - i] - theta[d - j]
+    return IdentityCheck(True, cells)
 
 
 def classify_dichotomy(lab: AdjacencyLabeling) -> DichotomyResult:

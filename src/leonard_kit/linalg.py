@@ -21,9 +21,11 @@ until a result is turned back into fractions.
   share one fraction-free Bareiss elimination: each step divides exactly
   by the previous pivot, so every entry stays a minor of the input, and
   back substitution yields the solutions times one common denominator.
-  The canonical forms read their reduced rows off the kernel solutions.
-  Every change of basis S^{-1} M S and conjugation S M S^{-1} in the
-  package is one ``represent_all_in_basis`` solve for all its operators.
+  The canonical forms read their reduced rows off the kernel solutions,
+  and each eigenline comes from one elimination of the shifted rows,
+  each row cleared of denominators once.  Every change of basis
+  S^{-1} M S and conjugation S M S^{-1} in the package is one
+  ``represent_all_in_basis`` solve for all its operators.
 
 Rational eigenvalues are found without factoring any number: the
 integer roots of a monic rescaling of the squarefree characteristic
@@ -136,9 +138,6 @@ class ExactMatrix:
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return self.entries[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
 
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
@@ -334,10 +333,8 @@ def rank(m: ExactMatrix) -> int:
     return len(_bareiss([_scaled(row)[0] for row in m.entries])[0])
 
 
-def _echelon(
-    vectors: Sequence[Sequence[Fraction]],
-) -> tuple[list[int], int, dict[int, list[int]]]:
-    """Fraction-free reduction of the rows, each cleared of denominators.
+def _echelon(rows: list[list[int]]) -> tuple[list[int], int, dict[int, list[int]]]:
+    """Fraction-free reduction of integer rows, in place.
 
     Returns the pivot columns, the last Bareiss pivot den (1 without
     pivots), and for each free column c the integer vector x_c that is
@@ -347,7 +344,6 @@ def _echelon(
     and 0 elsewhere: den is, up to sign, the determinant of the pivot
     block, so every x_c is integral and every division exact.
     """
-    rows = [_scaled(row)[0] for row in vectors]
     pivots, _ = _bareiss(rows)
     den = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
     width = len(rows[0])
@@ -362,7 +358,7 @@ def _echelon(
 def kernel(m: ExactMatrix) -> tuple[Vector, ...]:
     """Basis of the right kernel {x : m x = 0}, one vector per free column:
     x is 1 on its free column and 0 on the others."""
-    _, den, free = _echelon(m.entries)
+    _, den, free = _echelon([_scaled(row)[0] for row in m.entries])
     return tuple(tuple(Fraction(v, den) for v in x) for x in free.values())
 
 
@@ -405,7 +401,7 @@ class Subspace(Record):
                 raise AmbientMismatch("vector length differs from ambient dimension")
         if not vecs:
             return cls(ambient_dim, ())
-        pivots, den, free = _echelon(vecs)
+        pivots, den, free = _echelon([_scaled(v)[0] for v in vecs])
         basis = []
         for p in pivots:
             row = [ZERO] * ambient_dim
@@ -837,20 +833,25 @@ def simple_rational_eigen(m: ExactMatrix) -> tuple[tuple[Fraction, Subspace], ..
         raise NotSimpleRationalSpectrum(
             f"only {len(set(roots))} distinct rational eigenvalues for size {n}"
         )
+    scaled = [_scaled(row) for row in m.entries]
     result = []
     for lam in sorted(roots, reverse=True):
-        shifted = ExactMatrix(
-            [
-                [x - lam if i == j else x for j, x in enumerate(row)]
-                for i, row in enumerate(m.entries)
-            ]
-        )
-        space = Subspace.span(n, kernel(shifted))
-        if space.dim != 1:
+        # row i of m - lam*I times lcm(q, s_i), for lam = p/q and row i = b_i/s_i
+        p, q = lam.numerator, lam.denominator
+        rows = []
+        for i, (b, s) in enumerate(scaled):
+            big = lcm(q, s)
+            row = [x * (big // s) for x in b]
+            row[i] -= p * (big // q)
+            rows.append(row)
+        _, _, free = _echelon(rows)
+        if len(free) != 1:
             raise NotSimpleRationalSpectrum(
-                f"eigenspace of {lam} has dimension {space.dim}"
+                f"eigenspace of {lam} has dimension {len(free)}"
             )
-        result.append((lam, space))
+        (x,) = free.values()
+        lead = next(v for v in x if v)  # the reduced row of a line leads with 1
+        result.append((lam, Subspace._derived(n, (tuple(Fraction(v, lead) for v in x),))))
     return tuple(result)
 
 

@@ -6,6 +6,7 @@ import pytest
 from leonard_kit import adjacency, linalg
 from leonard_kit.adjacency import (
     AdjacencyLabeling,
+    IdentityCheck,
     are_adjacent,
     are_adjacent_via_flags,
     build_labeling,
@@ -217,6 +218,55 @@ def test_transition_identity_entry_corruption(standard_triple):
     bad = replace(lab, eta=(lab.eta[1], lab.eta[0]) + lab.eta[2:])
     check = verify_transition_identity(bad)
     assert not check.holds and check.first_failure is not None
+
+
+def _reference_transition_identity(lab):
+    """The cell-by-cell O(d^3) check: both products of every cell rebuilt."""
+    theta, eta = lab.theta, lab.eta
+    d = lab.d
+    cells = 0
+    first_failure = None
+    for i in range(d + 1):
+        for j in range(i + 1):
+            cells += 1
+            if first_failure is not None:
+                continue
+            lhs_num = lhs_den = Fraction(1)
+            for k in range(j):
+                lhs_num *= theta[d - i] - theta[d - k]
+                lhs_den *= theta[d - j] - theta[d - k]
+            rhs_num = rhs_den = Fraction(1)
+            for k in range(j + 1, i + 1):
+                rhs_num *= eta[0] - eta[k]
+                rhs_den *= eta[j] - eta[k]
+            if lhs_num * rhs_den != rhs_num * lhs_den:
+                first_failure = (i, j)
+    return IdentityCheck(first_failure is None, cells, first_failure)
+
+
+def test_transition_identity_matches_the_cell_by_cell_check(standard_triple):
+    # eta, then theta, perturbed at each index in turn, by a shift and by
+    # repeating a neighbour (which makes some products vanish)
+    geometric = _synthetic_labeling(
+        build_labeling(*standard_triple(3)[:2]),
+        (1, 2, 4, 8), (8, 4, 2, 1), (1, 2, 4, 8), (8, 4, 2, 1),
+    )
+    labelings = [geometric] + [
+        build_labeling(p, q) for d in range(1, 9) for p, q in combinations(standard_triple(d), 2)
+    ]
+    failures = set()
+    for lab in labelings:
+        assert verify_transition_identity(lab) == _reference_transition_identity(lab)
+        assert verify_transition_identity(lab).holds
+        for name in ("eta", "theta"):
+            seq = getattr(lab, name)
+            for k in range(len(seq)):
+                for value in (seq[k] + 1, seq[k - 1]):
+                    bad = replace(lab, **{name: seq[:k] + (value,) + seq[k + 1 :]})
+                    check = verify_transition_identity(bad)
+                    assert check == _reference_transition_identity(bad)
+                    failures.add(check.first_failure)
+    assert None in failures and len(failures) > 2
 
 
 def test_ratio_lemma_on_labelings(standard_triple):

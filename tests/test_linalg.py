@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from leonard_kit import linalg
 from leonard_kit.errors import AmbientMismatch, NotSimpleRationalSpectrum, SingularBasis
+from leonard_kit.leonard import verify_leonard
 from leonard_kit.linalg import (
     ExactMatrix,
     Subspace,
@@ -618,3 +619,80 @@ def test_moduli_extend_past_the_table():
     extra = list(islice(_moduli(), len(_PRIMES), len(_PRIMES) + 8))
     below = (n for n in range(_PRIMES[-1] - 2, 0, -2) if _miller_rabin(n))
     assert extra == list(islice(below, 8))
+
+
+# --- eigenlines ----------------------------------------------------------
+
+
+def _invertible(rng, n):
+    while True:
+        t = ExactMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if t.det() != 0:
+            return t
+
+
+def _wide(pair, m):
+    """A -> cA + cI and A* -> cA* + cI with c = M / 2^(m-1), M the least
+    m-bit prime, as the wide-entries benchmark rescales its pairs."""
+    c = Fraction(next(n for n in range(2 ** (m - 1) + 1, 2**m) if _is_prime(n)), 2 ** (m - 1))
+    eye = ExactMatrix.identity(pair.d + 1)
+    return c * pair.a + c * eye, c * pair.a_star + c * eye
+
+
+def _eigen_pairs(kraw, standard_triple):
+    """(A, A*) inputs to recognition: Krawtchouk pairs, their wide-entries
+    rescalings and the members of mutually adjacent triples."""
+    pairs = [kraw(d, p) for d in range(9) for p in (Fraction(1, 3), Fraction(2, 5))]
+    out = [(pair.a, pair.a_star) for pair in pairs]
+    out += [_wide(kraw(d, Fraction(1, 3)), m) for d in (2, 4) for m in (12, 16, 22)]
+    out += [(q.a, q.a_star) for d in range(1, 5) for q in standard_triple(d)]
+    return out
+
+
+def _eigen_matrices():
+    """Simple rational spectra with eigenvalues p/q, q > 1, conjugated by
+    integer T, and by diagonals whose entries give the rows very different
+    denominators."""
+    rng = random.Random(1212)
+    out = []
+    for n in range(1, 6):
+        # k/q with q prime and k % q != 0: distinct, and none an integer
+        values = rng.sample(
+            [Fraction(k, q) for q in (2, 3, 7) for k in range(-3 * q, 3 * q) if k % q], n
+        )
+        t = _invertible(rng, n)
+        out.append(t * ExactMatrix.diagonal(values) * t.inverse())
+        scale = ExactMatrix.diagonal([Fraction(7**i, 3 ** (2 * (n - i))) for i in range(n)])
+        out.append(scale * out[-1] * scale.inverse())
+    return out
+
+
+def test_eigenlines_match_the_kernel_route(kraw, standard_triple):
+    matrices = _eigen_matrices()
+    matrices += [m for pair in _eigen_pairs(kraw, standard_triple) for m in pair]
+    for m in matrices:
+        n = m.rows
+        eigen = simple_rational_eigen(m)
+        assert sorted(lam for lam, _ in eigen) == sorted(_rational_roots(charpoly(m)))
+        shift = lambda lam: m - ExactMatrix.diagonal([lam] * n)
+        assert eigen == tuple((lam, Subspace.span(n, kernel(shift(lam)))) for lam, _ in eigen)
+        for _, line in eigen:
+            twin = Subspace(n, line.basis)
+            assert twin == line and hash(twin) == hash(line) and repr(twin) == repr(line)
+
+
+def test_recognition_eliminates_each_eigenline_once(kraw, standard_triple, monkeypatch):
+    """No kernel and no span: recognition reads each eigenline off its
+    one elimination."""
+    pairs = _eigen_pairs(kraw, standard_triple)
+    matrices = _eigen_matrices()
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("recognition eliminates each eigenline once")
+
+    monkeypatch.setattr(linalg, "kernel", forbidden)
+    monkeypatch.setattr(Subspace, "span", classmethod(forbidden))
+    for a, a_star in pairs:
+        assert verify_leonard(a, a_star).d == a.rows - 1
+    for m in matrices:
+        assert len(simple_rational_eigen(m)) == m.rows
