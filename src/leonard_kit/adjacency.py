@@ -25,7 +25,7 @@ from .errors import (
     NotAdjacent,
     TheoremViolation,
 )
-from .flags import Flag, standard_flag_set
+from .flags import Flag, StandardFlagSet, standard_flag_set
 from .leonard import LeonardPair
 from .sequences import SequenceClass, SequenceTag, classify_sequence
 from .split import SplitType, split_type
@@ -116,25 +116,26 @@ def are_adjacent(p1: LeonardPair, p2: LeonardPair) -> bool:
     return forward
 
 
+def _roles(fs1: StandardFlagSet, fs2: StandardFlagSet) -> Optional[tuple[Flag, ...]]:
+    """The flags w, x, y, z, each the sole flag a standard pair of p1
+    shares with one of p2, or None unless each such intersection holds
+    exactly one.  Both sets are four distinct flags, so that is the flag
+    route's test: equal flag sets, different principal relations."""
+    a1, s1, a2, s2 = fs1.a_flags, fs1.a_star_flags, fs2.a_flags, fs2.a_star_flags
+    hits = [
+        [f for f in ours if f in theirs]
+        for ours, theirs in ((a1, a2), (a1, s2), (s1, s2), (s1, a2))
+    ]
+    return tuple(h[0] for h in hits) if all(len(h) == 1 for h in hits) else None
+
+
 def are_adjacent_via_flags(p1: LeonardPair, p2: LeonardPair) -> bool:
-    """Flag route: equal standard flag sets and different principal relations,
-    read by role: the four distinct flags of p1 all lie among p2's, and
-    exactly one A-flag of p1 is an A-flag of p2."""
+    """Flag route: equal standard flag sets and different principal
+    relations, read by role."""
     _require_same_space(p1, p2)
     if p1.d == 0:
         raise DegenerateDimension("the flag route needs dimension at least 2")
-    fs1, fs2 = standard_flag_set(p1), standard_flag_set(p2)
-    if not all(f in fs2.all_flags() for f in fs1.all_flags()):
-        return False
-    return (fs1.a_flags[0] in fs2.a_flags) != (fs1.a_flags[1] in fs2.a_flags)
-
-
-def _sole(flags: Sequence[Flag], others: Sequence[Flag]) -> Flag:
-    # one flag in each role intersection is the flag route's adjacency test
-    hits = [f for f in flags if f in others]
-    if len(hits) != 1:
-        raise NotAdjacent("the pairs are not adjacent")
-    return hits[0]
+    return _roles(standard_flag_set(p1), standard_flag_set(p2)) is not None
 
 
 def build_labeling(p1: LeonardPair, p2: LeonardPair) -> AdjacencyLabeling:
@@ -149,10 +150,10 @@ def build_labeling(p1: LeonardPair, p2: LeonardPair) -> AdjacencyLabeling:
         raise DegenerateDimension("labeling needs dimension at least 2")
     _require_same_space(p1, p2)
     fs1, fs2 = standard_flag_set(p1), standard_flag_set(p2)
-    w = _sole(fs1.a_flags, fs2.a_flags)
-    x = _sole(fs1.a_flags, fs2.a_star_flags)
-    y = _sole(fs1.a_star_flags, fs2.a_star_flags)
-    z = _sole(fs1.a_star_flags, fs2.a_flags)
+    roles = _roles(fs1, fs2)
+    if roles is None:
+        raise NotAdjacent("the pairs are not adjacent")
+    w, x, y, z = roles
     theta = p1.eigenvalue_sequences[fs1.a_flags.index(w)]
     theta_star = p1.dual_eigenvalue_sequences[fs1.a_star_flags.index(y)]
     eta = p2.eigenvalue_sequences[fs2.a_flags.index(z)]

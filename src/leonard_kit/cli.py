@@ -76,21 +76,27 @@ def _load_json(path: str) -> Any:
         raise InputError(f"{path} is not valid JSON: {exc}")
 
 
-def _check_cap(m: ExactMatrix, label: str) -> None:
-    cap = _max_dim()
-    if m.rows > cap or m.cols > cap:
+def _check_cap(obj: Any, key: str, path: str) -> None:
+    """Reject matrix ``key`` of a pair object whose declared size is above
+    the cap, before any entry is parsed; the parser reports bad shapes."""
+    try:
+        rows, cols = obj[key]["rows"], obj[key]["cols"]
+    except (TypeError, KeyError):
+        return
+    if type(rows) is int and type(cols) is int and max(rows, cols) > (cap := _max_dim()):
         raise InputError(
-            f"{label} is {m.rows}x{m.cols}, above the LEONARD_KIT_MAX_DIM cap of {cap}"
+            f'{path}: matrix "{key}" is {rows}x{cols}, above the LEONARD_KIT_MAX_DIM cap of {cap}'
         )
 
 
 def _load_pair(path: str) -> tuple[ExactMatrix, ExactMatrix]:
+    obj = _load_json(path)
+    _check_cap(obj, "a", path)
+    _check_cap(obj, "a_star", path)
     try:
-        a, a_star = jsonio.pair_from_obj(_load_json(path))
+        a, a_star = jsonio.pair_from_obj(obj)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
-    _check_cap(a, f'{path}: matrix "a"')
-    _check_cap(a_star, f'{path}: matrix "a_star"')
     if not a.is_square:
         raise InputError(f'{path}: matrix "a" is not square ({a.rows}x{a.cols})')
     if not a_star.is_square:

@@ -18,9 +18,10 @@ until a result is turned back into fractions.
   the primes exceeds twice Hadamard's bound on its coefficients.
 - ``Subspace.span``, ``Subspace.contains``, ``kernel``, ``rank``,
   ``ExactMatrix.det``, ``ExactMatrix.inverse`` and ``represent_all_in_basis``
-  share one fraction-free Bareiss elimination: each step divides exactly
-  by the previous pivot, so every entry stays a minor of the input, and
-  back substitution yields the solutions times one common denominator.
+  share one fraction-free Bareiss elimination.  A row is rewritten only
+  when it is eliminated, dividing exactly by the pivot it was last
+  rewritten by, so every entry stays a minor of the input, and back
+  substitution yields the solutions times one common denominator.
   The canonical forms read their reduced rows off the kernel solutions,
   and each eigenline comes from one elimination of the shifted rows,
   each row cleared of denominators once.  Every change of basis
@@ -265,16 +266,24 @@ def _bareiss(rows: list[list[int]], width: int | None = None) -> tuple[list[int]
     """Fraction-free row echelon form of integer rows, in place (Bareiss).
 
     Pivots are sought in the first ``width`` columns (all by default)
-    and brought up by row swaps.  Each step replaces the rows below the
-    pivot p by (p·row - a·pivot row) / (previous pivot), and the division
-    is exact: every entry stays a minor of the input.  So the k-th pivot
+    and brought up by row swaps.  A row is rewritten only when it is
+    eliminated: for pivot p and the row's entry a in the pivot column,
+    it becomes (p·row - a·pivot row) / level, where level is the pivot
+    it was last rewritten by (1 at first).  A row with a zero in the
+    pivot column is left alone.  Bareiss's step would scale it by
+    p/(previous pivot); those factors telescope, so a row of level l
+    stands for row·prev/l, with prev the last pivot, and it is brought
+    up to prev when it becomes the pivot row.  So every division is
+    exact, every entry stays a minor of the input, and the k-th pivot
     is, up to the sign of the row permutation, the determinant of the
     input's first k pivot rows and pivot columns.  Returns the pivot
-    columns and that sign.
+    columns and that sign.  Rows below the last pivot are zero in the
+    first ``width`` columns.
     """
     n_rows = len(rows)
     width = len(rows[0]) if width is None else width
     pivots: list[int] = []
+    level = [1] * n_rows
     sign, prev = 1, 1
     for c in range(width):
         r = len(pivots)
@@ -285,15 +294,17 @@ def _bareiss(rows: list[list[int]], width: int | None = None) -> tuple[list[int]
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
+            level[r], level[piv] = level[piv], level[r]
             sign = -sign
         top = rows[r][c:]
+        if level[r] != prev:
+            top = rows[r][c:] = [x * prev // level[r] for x in top]
         p = top[0]
-        for row in rows[r + 1 :]:
+        for i, row in enumerate(rows[r + 1 :], r + 1):
             a = row[c]
             if a:
-                row[c:] = [(p * x - a * y) // prev for x, y in zip(row[c:], top)]
-            elif p != prev:
-                row[c:] = [p * x // prev for x in row[c:]]
+                row[c:] = [(p * x - a * y) // level[i] for x, y in zip(row[c:], top)]
+                level[i] = p
         prev = p
         pivots.append(c)
     return pivots, sign
@@ -768,48 +779,27 @@ def _integer_roots(g: Sequence[int]) -> list[int] | None:
     return roots
 
 
-def _deflate(coeffs: Sequence, root: Fraction) -> list | None:
-    """Exact synthetic division by (x - root), or None if root is no root."""
-    n = len(coeffs) - 1
-    out = [ZERO] * n
-    acc = coeffs[n]
-    for k in range(n - 1, -1, -1):
-        out[k] = acc
-        acc = coeffs[k] + root * acc
-    return out if acc == 0 else None
-
-
 def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
-    """All roots, with multiplicity, of a rational polynomial that splits
-    over Q, else None.  Coefficients run from constant to leading, and
-    the leading one is nonzero.
+    """The distinct roots, each once, of a rational polynomial that
+    splits over Q, else None.  Coefficients run from constant to
+    leading, and the leading one is nonzero.
 
     No coefficient is ever factored.  After the zero roots are stripped,
     the squarefree part h = f / gcd(f, f') of the primitive integer
     polynomial f is made monic by y = a x, with a the leading
     coefficient of h; the integer roots y of the result are found by
-    Hensel lifting (``_integer_roots``), and the multiplicity of each
-    root x = y / a is one more than the number of times it divides
-    gcd(f, f') exactly.
+    Hensel lifting (``_integer_roots``), and each gives the root y / a.
     """
     f = _primitive_int_coeffs(coeffs)
     zeros = next(i for i, c in enumerate(f) if c != 0)
     f = f[zeros:]
-    common = _int_poly_gcd(f, _derivative(f))
-    h = _exact_quotient(f, common)
+    h = _exact_quotient(f, _int_poly_gcd(f, _derivative(f)))
     n, a = len(h) - 1, h[-1]
     g = [c * a ** (n - 1 - i) for i, c in enumerate(h[:-1])] + [1]
     ys = _integer_roots(g)
     if ys is None:
         return None
-    roots = [ZERO] * zeros
-    for y in ys:
-        root = Fraction(y, a)
-        roots.append(root)
-        while len(common) > 1 and (quotient := _deflate(common, root)) is not None:
-            common = quotient
-            roots.append(root)
-    return roots
+    return ([ZERO] if zeros else []) + [Fraction(y, a) for y in ys]
 
 
 def simple_rational_eigen(m: ExactMatrix) -> tuple[tuple[Fraction, Subspace], ...]:
@@ -829,9 +819,9 @@ def simple_rational_eigen(m: ExactMatrix) -> tuple[tuple[Fraction, Subspace], ..
         raise NotSimpleRationalSpectrum(
             "the characteristic polynomial has an irrational root"
         )
-    if len(set(roots)) != n:
+    if len(roots) != n:
         raise NotSimpleRationalSpectrum(
-            f"only {len(set(roots))} distinct rational eigenvalues for size {n}"
+            f"only {len(roots)} distinct rational eigenvalues for size {n}"
         )
     scaled = [_scaled(row) for row in m.entries]
     result = []

@@ -316,6 +316,21 @@ def test_max_dim_cap(tmp_path, kraw_file, capsys, monkeypatch):
     assert code == 2
 
 
+def test_max_dim_cap_is_checked_before_any_entry_is_parsed(tmp_path, capsys, monkeypatch):
+    """A declared size above the cap is reported even though the last
+    entry of the matrix is no rational: no entry is read first."""
+    monkeypatch.setenv("LEONARD_KIT_MAX_DIM", "2")
+    entries = [["1"] * 200 for _ in range(200)]
+    entries[-1][-1] = "1.5"
+    small = {"rows": 1, "cols": 1, "entries": [["0"]]}
+    path = tmp_path / "big.json"
+    big = {"rows": 200, "cols": 200, "entries": entries}
+    path.write_text(json.dumps({"a": big, "a_star": small}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert f'{path}: matrix "a" is 200x200, above the LEONARD_KIT_MAX_DIM cap of 2' in err
+
+
 def test_internal_failure_exits_3(kraw_file, capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("simulated defect")

@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 
 from leonard_kit import cli
-from leonard_kit.adjacency import are_adjacent_via_flags
+from leonard_kit.adjacency import are_adjacent_via_flags, build_labeling
+from leonard_kit.errors import NotAdjacent
 from leonard_kit.flags import Flag, principal_relation, standard_flag_set
 from leonard_kit.leonard import Decomposition, verify_leonard
 from leonard_kit.linalg import ExactMatrix, Subspace
@@ -93,6 +94,33 @@ def test_flag_route_matches_the_definition(kraw, standard_triple):
             assert _by_definition(p1, p2) is expected
             assert are_adjacent_via_flags(p1, p2) is expected
             assert are_adjacent_via_flags(p2, p1) is expected
+
+
+def test_labeling_exists_exactly_when_the_flag_route_says_adjacent(kraw, standard_triple):
+    """build_labeling and are_adjacent_via_flags read one role test.  A
+    pair and its swap share all four flags and the relation, and two
+    unrelated Krawtchouk pairs share no flag: neither has a labeling."""
+    for d in range(1, 6):
+        members = standard_triple(d)
+        cases = [
+            (members[1], members[1].swapped()),
+            (kraw(d, Fraction(1, 2)), kraw(d, Fraction(3, 4))),
+            (kraw(d, Fraction(1, 3)), kraw(d, Fraction(1, 3)).swapped()),
+            (members[0], members[1]),
+            (members[2], members[0].swapped()),
+        ]
+        for p1, p2 in cases:
+            for first, second in ((p1, p2), (p2, p1)):
+                expected = _by_definition(first, second)
+                assert are_adjacent_via_flags(first, second) is expected
+                if expected:
+                    lab = build_labeling(first, second)
+                    roles = {lab.w, lab.x, lab.y, lab.z}
+                    assert len(roles) == 4 and roles == standard_flag_set(first).as_set()
+                else:
+                    with pytest.raises(NotAdjacent):
+                        build_labeling(first, second)
+        assert [_by_definition(*case) for case in cases] == [False, False, False, True, True]
 
 
 @pytest.fixture

@@ -270,7 +270,22 @@ def test_rational_roots_match_trial_division(factors, quadratic, scale):
     if expected is None:
         assert found is None
     else:
-        assert sorted(found) == sorted(expected)
+        assert sorted(found) == sorted(set(expected))
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (ExactMatrix.identity(3), "only 1 distinct rational eigenvalues for size 3"),
+        (ExactMatrix.diagonal([1, 1, 2]), "only 2 distinct rational eigenvalues for size 3"),
+        (ExactMatrix.diagonal([0, 0, 1]), "only 2 distinct rational eigenvalues for size 3"),
+        (ExactMatrix([[0, 2], [1, 0]]), "the characteristic polynomial has an irrational root"),
+    ],
+)
+def test_spectrum_rejections_name_the_distinct_roots(m, message):
+    with pytest.raises(NotSimpleRationalSpectrum) as caught:
+        simple_rational_eigen(m)
+    assert str(caught.value) == message
 
 
 def test_charpoly_matches_det_and_trace():
@@ -498,6 +513,162 @@ def test_one_solve_rejects_mismatched_operators():
         represent_all_in_basis([ExactMatrix.identity(2), ExactMatrix([[1, 2]])], basis)
     with pytest.raises(AmbientMismatch):
         represent_all_in_basis([ExactMatrix.identity(2), ExactMatrix.identity(3)], basis)
+
+
+# --- the Bareiss core against the step that rescales every row -----------
+
+
+def _reference_bareiss(rows, width=None):
+    """Bareiss elimination as written before rows were left alone: each
+    step rewrites every row below the pivot, dividing by the previous
+    pivot, including the rows with a zero in the pivot column."""
+    n_rows = len(rows)
+    width = len(rows[0]) if width is None else width
+    pivots = []
+    sign, prev = 1, 1
+    for c in range(width):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        piv = next((i for i in range(r, n_rows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r][c:]
+        p = top[0]
+        for row in rows[r + 1 :]:
+            a = row[c]
+            if a:
+                row[c:] = [(p * x - a * y) // prev for x, y in zip(row[c:], top)]
+            elif p != prev:
+                row[c:] = [p * x // prev for x in row[c:]]
+        prev = p
+        pivots.append(c)
+    return pivots, sign
+
+
+def _banded(n, lower, upper):
+    """n x n integer matrices that are zero off the band lower..upper."""
+    entry = st.one_of(st.integers(-5, 5), st.integers(-(2**64), 2**64))
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n).map(
+        lambda rows: [
+            [x if -lower <= j - i <= upper else 0 for j, x in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+    )
+
+
+@st.composite
+def _block_sparse(draw, rows, cols):
+    """Blocks of a random size, each nonzero with the drawn density."""
+    size = draw(st.integers(1, 3))
+    density = draw(st.sampled_from([0.15, 0.25, 0.35, 0.5]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    live = {
+        (i, j)
+        for i in range(0, rows, size)
+        for j in range(0, cols, size)
+        if rng.random() < density
+    }
+    return [
+        [rng.randint(-4, 4) if (i - i % size, j - j % size) in live else 0 for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+@st.composite
+def _zero_leading(draw):
+    """Rows that start with runs of zeros of random lengths, shuffled, so
+    rows skipped by early pivots are later swapped up as pivot rows."""
+    n, cols = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = []
+    for _ in range(n):
+        lead = rng.randrange(cols)
+        head = rng.choice([-3, -2, -1, 1, 2, 3, 7])
+        rows.append([0] * lead + [head] + [rng.randint(-3, 3) for _ in range(cols - lead - 1)])
+    rng.shuffle(rows)
+    return rows
+
+
+_square_bands = st.integers(1, 8).flatmap(
+    lambda n: st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)]).flatmap(
+        lambda band: _banded(n, *band)
+    )
+)
+
+
+def _assert_bareiss_matches_reference(rows, width=None):
+    ours, theirs = [list(r) for r in rows], [list(r) for r in rows]
+    pivots, sign = linalg._bareiss(ours, width)
+    assert (pivots, sign) == _reference_bareiss(theirs, width)
+    if width is None:
+        assert ours == theirs
+    else:
+        assert ours[: len(pivots)] == theirs[: len(pivots)]
+
+
+@given(
+    st.one_of(
+        _square_bands,
+        st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(lambda s: _block_sparse(*s)),
+        _zero_leading(),
+    )
+)
+@example([[2, 1, 0], [0, 0, 3], [0, 5, 1]])
+@example([[0, 0, 1], [0, 2, 1], [3, 1, 1], [1, 1, 1]])
+@example([[0]])
+@settings(max_examples=300, deadline=None)
+def test_bareiss_matches_the_rescaling_loop(rows):
+    """Leaving a row alone until it is eliminated gives the same pivots,
+    sign and rows as rescaling it at every step; in the first example
+    the stale third row is swapped up as the second pivot row."""
+    _assert_bareiss_matches_reference(rows)
+
+
+@st.composite
+def _augmented(draw):
+    """(S | R) rows of an n x n S, often singular or sparse, and n."""
+    n, k = draw(st.integers(1, 7)), draw(st.integers(0, 4))
+    s = draw(st.one_of(_banded(n, 1, 1), _block_sparse(n, n)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return [row + [rng.randint(-9, 9) for _ in range(k)] for row in s], n
+
+
+@given(_augmented())
+@example(([[2, 1, 5], [0, 0, 7]], 2))
+@example(([[0, 1, 0, 4], [1, 0, 0, 5], [0, 0, 3, 6]], 3))
+@settings(max_examples=300, deadline=None)
+def test_bareiss_with_width_matches_the_rescaling_loop(case):
+    """With the pivots sought in S only, the pivot rows agree; the rows
+    below them are zero on S in both and are never read."""
+    rows, n = case
+    _assert_bareiss_matches_reference(rows, n)
+
+
+class _CountedRow(list):
+    writes = 0
+
+    def __setitem__(self, key, value):
+        if isinstance(key, slice):
+            _CountedRow.writes += 1
+        super().__setitem__(key, value)
+
+
+def test_a_row_is_rewritten_only_when_it_is_eliminated(monkeypatch):
+    """A 40 x 40 tridiagonal matrix needs one elimination per pivot; the
+    rescaling loop wrote 780 rows for it."""
+    n = 40
+    rows = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    expected = [list(r) for r in rows]
+    _reference_bareiss(expected)
+    monkeypatch.setattr(_CountedRow, "writes", 0)
+    counted = [_CountedRow(r) for r in rows]
+    assert linalg._bareiss(counted) == (list(range(n)), 1)
+    assert counted == expected
+    assert _CountedRow.writes <= 2 * n
 
 
 def _reference_contains(space, other):
