@@ -116,14 +116,16 @@ def are_adjacent(p1: LeonardPair, p2: LeonardPair) -> bool:
     return forward
 
 
-def _roles(fs1: StandardFlagSet, fs2: StandardFlagSet) -> Optional[tuple[Flag, ...]]:
-    """The flags w, x, y, z, each the sole flag a standard pair of p1
-    shares with one of p2, or None unless each such intersection holds
-    exactly one.  Both sets are four distinct flags, so that is the flag
-    route's test: equal flag sets, different principal relations."""
+def _roles(fs1: StandardFlagSet, fs2: StandardFlagSet) -> Optional[tuple[tuple[int, int], ...]]:
+    """For each role w, x, y, z, the indices (i, j) of the sole flag that a
+    standard pair of p1 shares with one of p2, as the i-th of p1's pair and
+    the j-th of p2's; None unless each such intersection holds exactly one.
+    Both sets are four distinct flags, so that is the flag route's test:
+    equal flag sets, different principal relations.  build_labeling reads
+    the flags and the sequences by these indices."""
     a1, s1, a2, s2 = fs1.a_flags, fs1.a_star_flags, fs2.a_flags, fs2.a_star_flags
     hits = [
-        [f for f in ours if f in theirs]
+        [(i, j) for i, f in enumerate(ours) for j, g in enumerate(theirs) if f == g]
         for ours, theirs in ((a1, a2), (a1, s2), (s1, s2), (s1, a2))
     ]
     return tuple(h[0] for h in hits) if all(len(h) == 1 for h in hits) else None
@@ -144,7 +146,8 @@ def build_labeling(p1: LeonardPair, p2: LeonardPair) -> AdjacencyLabeling:
     Each role is the unique flag in the intersection of one standard
     pair of p1 with one of p2, so the labeling is determined once the
     two pairs are fixed.  The k-th standard flag is induced by the k-th
-    standard decomposition, so the sequences are read off by flag index.
+    standard decomposition, so the flags and the sequences are read by
+    the indices at which the role test matched them.
     """
     if p1.d == 0:
         raise DegenerateDimension("labeling needs dimension at least 2")
@@ -153,12 +156,11 @@ def build_labeling(p1: LeonardPair, p2: LeonardPair) -> AdjacencyLabeling:
     roles = _roles(fs1, fs2)
     if roles is None:
         raise NotAdjacent("the pairs are not adjacent")
-    w, x, y, z = roles
-    theta = p1.eigenvalue_sequences[fs1.a_flags.index(w)]
-    theta_star = p1.dual_eigenvalue_sequences[fs1.a_star_flags.index(y)]
-    eta = p2.eigenvalue_sequences[fs2.a_flags.index(z)]
-    eta_star = p2.dual_eigenvalue_sequences[fs2.a_star_flags.index(x)]
-    return AdjacencyLabeling(w, x, y, z, theta, theta_star, eta, eta_star)
+    (iw, _), (ix, jx), (iy, _), (iz, jz) = roles
+    a1, s1 = fs1.a_flags, fs1.a_star_flags
+    theta, theta_star = p1.eigenvalue_sequences[iw], p1.dual_eigenvalue_sequences[iy]
+    eta, eta_star = p2.eigenvalue_sequences[jz], p2.dual_eigenvalue_sequences[jx]
+    return AdjacencyLabeling(a1[iw], a1[ix], s1[iy], s1[iz], theta, theta_star, eta, eta_star)
 
 
 def verify_transition_identity(lab: AdjacencyLabeling) -> IdentityCheck:

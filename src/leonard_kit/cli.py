@@ -21,7 +21,6 @@ from typing import Any, Callable, Optional
 from . import jsonio
 from .adjacency import (
     are_adjacent,
-    are_adjacent_via_flags,
     build_labeling,
     classify_dichotomy,
     verify_transition_identity,
@@ -30,6 +29,7 @@ from .errors import (
     DependentVectors,
     InvalidP,
     LeonardKitError,
+    NotAdjacent,
     NotArithmetic,
     NotSimpleRationalSpectrum,
     NotTridiagonalizable,
@@ -231,14 +231,17 @@ def _cmd_adjacent(args) -> int:
         _emit(lambda: report, args.output, "adjacency is vacuous at d = 0")
         return EXIT_YES
     verdict = are_adjacent(p1, p2)
-    via_flags = are_adjacent_via_flags(p1, p2)
+    try:
+        lab = build_labeling(p1, p2)
+    except NotAdjacent:
+        lab = None
+    via_flags = lab is not None
     if via_flags != verdict:
         raise TheoremViolation(f"split route says {verdict}, flag route {via_flags}")
     if not verdict:
         report = {"adjacent": False, "d": p1.d, "via_flags": via_flags}
         _emit(lambda: report, args.output, "pairs are not adjacent")
         return EXIT_NO
-    lab = build_labeling(p1, p2)
     identity = verify_transition_identity(lab)
     dichotomy = classify_dichotomy(lab)
     _emit(

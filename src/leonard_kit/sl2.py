@@ -367,51 +367,43 @@ def krawtchouk_normal_form(pair: LeonardPair) -> KrawtchoukNormalForm:
     A-standard basis is ordered accordingly; p is read from the top
     diagonal entry of the tridiagonal representation of the normalized
     A*; the basis vectors are rescaled to match the subdiagonal; and
-    every remaining entry is verified exactly.  Orientations with the
-    larger leading eigenvalue are tried first.
+    every remaining entry is verified exactly.  The first orientation of
+    each sequence suffices: reversing theta* negates the normalized A*,
+    and reversing theta lists the A-standard basis backwards, turning its
+    matrix M into J M J (J the reversal).  Either sends p to 1 - p, and a
+    match with K(p) becomes a diagonal similarity to K(1 - p), since the
+    diagonals agree up to reflection and the off-diagonal products are
+    unchanged; so all four orientations match or fail together.
     """
     d = pair.d
+    theta, theta_star = pair.eigenvalue_sequences[0], pair.dual_eigenvalue_sequences[0]
     if d == 0:
-        theta0 = pair.eigenvalue_sequences[0][0]
-        theta_star0 = pair.dual_eigenvalue_sequences[0][0]
         return KrawtchoukNormalForm(
             ExactMatrix.identity(1),
             Fraction(1, 2),
-            (ONE, -theta0, ONE, -theta_star0),
+            (ONE, -theta[0], ONE, -theta_star[0]),
             note="d = 0 leaves p unconstrained; defaulting to 1/2",
         )
-    for seq in (pair.eigenvalue_sequences[0], pair.dual_eigenvalue_sequences[0]):
+    for seq in (theta, theta_star):
         if classify_sequence(seq).tag is not SequenceTag.ARITHMETIC:
             raise NotArithmetic("both sequences must be in arithmetic progression")
+    alpha, beta = _normalizing_affine(theta, d)
+    alpha_star, beta_star = _normalizing_affine(theta_star, d)
+    reps = [c.representative() for c in pair.a_standard_decompositions[0].components]
+    # S^-1 (x M + y I) S = x S^-1 M S + y I: one solve serves both affine images
+    rep_a, rep_a_star = represent_all_in_basis((pair.a, pair.a_star), reps)
     identity = ExactMatrix.identity(d + 1)
-    for orient in range(len(pair.eigenvalue_sequences)):
-        theta = pair.eigenvalue_sequences[orient]
-        alpha, beta = _normalizing_affine(theta, d)
-        reps = [
-            c.representative()
-            for c in pair.a_standard_decompositions[orient].components
-        ]
-        # S^-1 (x M + y I) S = x S^-1 M S + y I: one solve serves every affine image
-        rep_a, rep_a_star = represent_all_in_basis((pair.a, pair.a_star), reps)
-        for theta_star in pair.dual_eigenvalue_sequences:
-            alpha_star, beta_star = _normalizing_affine(theta_star, d)
-            m = alpha_star * rep_a_star + beta_star * identity
-            p = (Fraction(d) - m[0, 0]) / (2 * d)
-            if p in (0, 1):
-                continue
-            scales = [ONE]
-            for i in range(d):
-                gamma = 2 * (1 - p) * (i + 1)
-                scales.append(scales[i] * m[i + 1, i] / gamma)
-            rescaled = ExactMatrix(
-                [
-                    [scales[j] * m[i, j] / scales[i] for j in range(d + 1)]
-                    for i in range(d + 1)
-                ]
-            )
-            a_target, target = _krawtchouk_matrices(d, p)
-            if rescaled != target:
-                continue
+    m = alpha_star * rep_a_star + beta_star * identity
+    p = (Fraction(d) - m[0, 0]) / (2 * d)
+    if p not in (0, 1):
+        scales = [ONE]
+        for i in range(d):
+            scales.append(scales[i] * m[i + 1, i] / (2 * (1 - p) * (i + 1)))
+        rescaled = ExactMatrix(
+            [[scales[j] * m[i, j] / scales[i] for j in range(d + 1)] for i in range(d + 1)]
+        )
+        a_target, target = _krawtchouk_matrices(d, p)
+        if rescaled == target:
             # the rescaling conjugates by a diagonal matrix, which fixes a diagonal one
             if alpha * rep_a + beta * identity != a_target:
                 raise TheoremViolation("the normal form basis must diagonalize A")

@@ -8,6 +8,7 @@ import pytest
 
 from leonard_kit import adjacency, cli, jsonio, sl2
 from leonard_kit.cli import main
+from leonard_kit.errors import NotAdjacent
 from leonard_kit.linalg import ExactMatrix
 from leonard_kit.sl2 import KrawtchoukParameters, krawtchouk_pair, three_mutually_adjacent
 
@@ -361,7 +362,10 @@ def member_files(tmp_path):
 
 
 def test_adjacency_routes_disagreeing_exits_3(member_files, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "are_adjacent_via_flags", lambda p, q: False)
+    def no_labeling(p, q):
+        raise NotAdjacent("the pairs are not adjacent")
+
+    monkeypatch.setattr(cli, "build_labeling", no_labeling)
     code, out, err = run(capsys, "adjacent", *member_files)
     assert code == 3
     assert out == ""
@@ -386,9 +390,11 @@ def count_calls(monkeypatch, module, name):
 
 def test_each_command_decides_once(member_files, kraw_file, capsys, monkeypatch):
     adjacent_calls = count_calls(monkeypatch, adjacency, "are_adjacent")
+    role_calls = count_calls(monkeypatch, adjacency, "_roles")
     normal_form_calls = count_calls(monkeypatch, sl2, "krawtchouk_normal_form")
     assert run(capsys, "adjacent", *member_files)[0] == 0
     assert len(adjacent_calls) == 1
+    assert len(role_calls) == 1
     assert run(capsys, "companions", kraw_file(2, "1/3"))[0] == 0
     assert len(normal_form_calls) == 1
 

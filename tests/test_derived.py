@@ -10,11 +10,12 @@ validates a flag or decomposition, or hashes a flag.
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from leonard_kit import cli
-from leonard_kit.adjacency import are_adjacent_via_flags, build_labeling
+from leonard_kit import adjacency, cli
+from leonard_kit.adjacency import AdjacencyLabeling, are_adjacent_via_flags, build_labeling
 from leonard_kit.errors import NotAdjacent
 from leonard_kit.flags import Flag, principal_relation, standard_flag_set
 from leonard_kit.leonard import Decomposition, verify_leonard
@@ -121,6 +122,65 @@ def test_labeling_exists_exactly_when_the_flag_route_says_adjacent(kraw, standar
                     with pytest.raises(NotAdjacent):
                         build_labeling(first, second)
         assert [_by_definition(*case) for case in cases] == [False, False, False, True, True]
+
+
+def _labeling_by_search(p1, p2):
+    """Oracle: each role flag found by membership, and each sequence by the
+    .index() of its flag."""
+    fs1, fs2 = standard_flag_set(p1), standard_flag_set(p2)
+    a1, s1, a2, s2 = fs1.a_flags, fs1.a_star_flags, fs2.a_flags, fs2.a_star_flags
+    (w,), (x,), (y,), (z,) = (
+        [f for f in ours if f in theirs]
+        for ours, theirs in ((a1, a2), (a1, s2), (s1, s2), (s1, a2))
+    )
+    return AdjacencyLabeling(
+        w,
+        x,
+        y,
+        z,
+        p1.eigenvalue_sequences[a1.index(w)],
+        p1.dual_eigenvalue_sequences[s1.index(y)],
+        p2.eigenvalue_sequences[a2.index(z)],
+        p2.dual_eigenvalue_sequences[s2.index(x)],
+    )
+
+
+def test_labeling_reads_the_matched_indices(standard_triple):
+    """The labeling equals the .index() oracle on adjacent pairs among
+    which each role sits at every index of both standard pairs."""
+    seen = set()
+    for d in range(1, 5):
+        members = standard_triple(d)
+        moved = [affine_transform(q, -1, 0, -2, 1) for q in members]
+        for p1, p2 in permutations([*members, *moved], 2):
+            for first, second in ((p1, p2), (p1.swapped(), p2), (p1, p2.swapped())):
+                if not are_adjacent_via_flags(first, second):
+                    continue
+                assert build_labeling(first, second) == _labeling_by_search(first, second)
+                roles = adjacency._roles(standard_flag_set(first), standard_flag_set(second))
+                seen.update(enumerate(roles))
+    assert seen == {(role, (i, j)) for role in range(4) for i in range(2) for j in range(2)}
+
+
+def test_one_labeling_makes_four_equal_flag_comparisons(standard_triple, monkeypatch):
+    """One equal comparison per role, none to find a role's index again."""
+    members = standard_triple(3)
+    for pair in members:
+        standard_flag_set(pair)
+    equal = []
+    flag_eq = Flag.__eq__
+
+    def counted(self, other):
+        result = flag_eq(self, other)
+        if result is True:
+            equal.append((self, other))
+        return result
+
+    monkeypatch.setattr(Flag, "__eq__", counted)
+    for p1, p2 in permutations(members, 2):
+        equal.clear()
+        build_labeling(p1, p2)
+        assert len(equal) == 4
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from leonard_kit.errors import (
     DependentVectors,
     InvalidP,
     NotArithmetic,
+    NotKrawtchouk,
     NotTraceless,
     TheoremViolation,
     ZeroScale,
@@ -21,6 +22,7 @@ from leonard_kit.sequences import SequenceTag, classify_sequence
 from leonard_kit.split import split_type
 from leonard_kit.sl2 import (
     ChevalleyBasis,
+    KrawtchoukNormalForm,
     KrawtchoukParameters,
     Sl2Element,
     affine_transform,
@@ -30,6 +32,7 @@ from leonard_kit.sl2 import (
     construct_six,
     decompose_sl2,
     krawtchouk_normal_form,
+    krawtchouk_pair,
     lift,
     matrix_with_eigenpairs,
     standard_generators,
@@ -577,3 +580,127 @@ def test_command_paths_run_on_the_one_solve(command_linalg_only, monkeypatch):
         before = len(solves)
         split_type(dec, pairs[0])
         assert len(solves) == before + 1
+
+
+# --- one orientation against the four-orientation search ------------------
+
+
+def _reference_candidates(pair):
+    """The normal form attempted at every orientation (A first, then A*),
+    in the order the four-orientation search tries them: a
+    KrawtchoukNormalForm where the orientations match, None elsewhere."""
+    d = pair.d
+    identity = ExactMatrix.identity(d + 1)
+    out = []
+    for orient, theta in enumerate(pair.eigenvalue_sequences):
+        alpha, beta = sl2._normalizing_affine(theta, d)
+        reps = [c.representative() for c in pair.a_standard_decompositions[orient].components]
+        rep_a, rep_a_star = linalg.represent_all_in_basis((pair.a, pair.a_star), reps)
+        for theta_star in pair.dual_eigenvalue_sequences:
+            alpha_star, beta_star = sl2._normalizing_affine(theta_star, d)
+            m = alpha_star * rep_a_star + beta_star * identity
+            p = (Fraction(d) - m[0, 0]) / (2 * d)
+            if p in (0, 1):
+                out.append(None)
+                continue
+            scales = [Fraction(1)]
+            for i in range(d):
+                scales.append(scales[i] * m[i + 1, i] / (2 * (1 - p) * (i + 1)))
+            rescaled = ExactMatrix(
+                [[scales[j] * m[i, j] / scales[i] for j in range(d + 1)] for i in range(d + 1)]
+            )
+            a_target, target = sl2._krawtchouk_matrices(d, p)
+            if rescaled != target or alpha * rep_a + beta * identity != a_target:
+                out.append(None)
+                continue
+            s = ExactMatrix.from_columns([[x * c for x in v] for c, v in zip(scales, reps)])
+            out.append(KrawtchoukNormalForm(s, p, (alpha, beta, alpha_star, beta_star)))
+    return out
+
+
+def _reference_normal_form(pair):
+    """The four-orientation search: the first orientation pair that matches."""
+    for nf in _reference_candidates(pair):
+        if nf is not None:
+            return nf
+    raise NotKrawtchouk("no orientation matches the tridiagonal normal form")
+
+
+def _integer_conjugate(pair, rng):
+    n = pair.d + 1
+    while True:
+        t = ExactMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if t.det() != 0:
+            return verify_leonard(*linalg.conjugate_all((pair.a, pair.a_star), t))
+
+
+krawtchouk_ps = st.fractions(min_value=-2, max_value=3, max_denominator=5).filter(
+    lambda p: p not in (0, 1)
+)
+nonzero_scales = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(
+    lambda x: x != 0
+)
+
+
+@st.composite
+def arithmetic_pairs(draw):
+    """Pairs with arithmetic sequences: Krawtchouk pairs, members of a
+    triple on random independent witnesses, or companions, then maybe
+    conjugated by a random integer matrix, swapped, and moved by an affine
+    map whose negative leading coefficients reverse the orientations."""
+    d = draw(st.integers(1, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    source = draw(st.sampled_from(("krawtchouk", "triple", "companion")))
+    if source == "triple":
+        pair = rng.choice(three_mutually_adjacent(d, *random_independent_quadruple(rng)))
+    else:
+        pair = krawtchouk_pair(KrawtchoukParameters(d, draw(krawtchouk_ps)))
+        if source == "companion":
+            pair = rng.choice(companions(pair)[1:])
+    if draw(st.booleans()):
+        pair = _integer_conjugate(pair, rng)
+    if draw(st.booleans()):
+        pair = pair.swapped()
+    if draw(st.booleans()):
+        pair = affine_transform(pair, *(draw(nonzero_scales) for _ in range(4)))
+    return pair
+
+
+@given(arithmetic_pairs())
+@settings(max_examples=60, deadline=None)
+def test_normal_form_matches_the_four_orientation_search(pair):
+    candidates = _reference_candidates(pair)
+    assert krawtchouk_normal_form(pair) == _reference_normal_form(pair) == candidates[0]
+    # all four orientations match, each reversal sending p to 1 - p
+    p = candidates[0].p
+    assert [nf.p for nf in candidates] == [p, 1 - p, 1 - p, p]
+    n = pair.d + 1
+    for nf in candidates:
+        al, be, als, bes = nf.affine
+        s_inv = nf.s.inverse()
+        a = s_inv * (al * pair.a + be * ExactMatrix.identity(n)) * nf.s
+        a_star = s_inv * (als * pair.a_star + bes * ExactMatrix.identity(n)) * nf.s
+        assert (a, a_star) == sl2._krawtchouk_matrices(pair.d, nf.p)
+
+
+def test_normal_form_makes_one_solve_and_fails_on_its_one_candidate(kraw, monkeypatch):
+    solves = []
+    solve = sl2.represent_all_in_basis
+    monkeypatch.setattr(
+        sl2, "represent_all_in_basis", lambda *args: solves.append(args) or solve(*args)
+    )
+    for d in range(1, 5):
+        pair = kraw(d, Fraction(1, 3)).swapped()
+        solves.clear()
+        assert krawtchouk_normal_form(pair).p == Fraction(1, 3)
+        assert len(solves) == 1
+
+    # a target no orientation reaches: the one candidate fails, after one solve
+    def unreachable(d, p):
+        return lift(Sl2Element(1, 0, 0), d), ExactMatrix.zeros(d + 1, d + 1)
+
+    monkeypatch.setattr(sl2, "_krawtchouk_matrices", unreachable)
+    solves.clear()
+    with pytest.raises(NotKrawtchouk, match="^no orientation matches the tridiagonal normal form; "):
+        krawtchouk_normal_form(kraw(3, Fraction(1, 3)))
+    assert len(solves) == 1
