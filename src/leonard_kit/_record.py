@@ -1,10 +1,11 @@
 """Immutable value records built from plain methods.
 
-The package's small result types (subspaces, flags, decompositions,
+The package's value types (matrices, subspaces, flags, decompositions,
 verified pairs, sequence classes, ...) are frozen records that compare
-and hash by value.  They share the plain methods below instead of
-methods generated and compiled per class, which keeps importing the
-package, and so starting every command, cheap.
+and hash by value, and pickle and deep-copy by their fields.  They
+share the plain methods below instead of methods generated and compiled
+per class, which keeps importing the package, and so starting every
+command, cheap.
 
 Public constructors always validate.  ``_derived`` binds without the
 check, and builds only records derived from checked ones: the rows of
@@ -28,7 +29,9 @@ class Record:
     arguments to the fields in order and then calls ``_validate``, where a
     subclass checks its fields and may normalize one by rebinding it with
     ``object.__setattr__``.  Records are equal when they have the same
-    class and equal field values, and hash by their field values.
+    class and equal field values, and hash by their field values.  A
+    record pickles and copies as its class and field values, so the copy
+    is built, and checked, by the public constructor.
     """
 
     __slots__ = ()

@@ -80,24 +80,21 @@ def as_vector(entries: Iterable[Scalar]) -> Vector:
     return tuple(as_fraction(x) for x in entries)
 
 
-class ExactMatrix:
-    """Immutable dense matrix of rationals."""
+class ExactMatrix(Record):
+    """Immutable dense matrix of rationals, built from rows of scalars."""
 
     __slots__ = ("entries",)
 
     entries: tuple[tuple[Fraction, ...], ...]
 
-    def __init__(self, rows: Iterable[Iterable[Scalar]]):
-        entries = tuple(tuple(as_fraction(x) for x in row) for row in rows)
+    def _validate(self) -> None:
+        entries = tuple(tuple(as_fraction(x) for x in row) for row in self.entries)
         if not entries or not entries[0]:
             raise ValueError("a matrix needs at least one row and one column")
         width = len(entries[0])
         if any(len(row) != width for row in entries):
             raise ValueError("all rows must have the same length")
         object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -234,16 +231,6 @@ class ExactMatrix:
         if len(pivots) < self.rows:
             return ZERO
         return Fraction(sign * rows[-1][-1], prod(scales))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExactMatrix) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        body = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.entries)
-        return f"ExactMatrix([{body}])"
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -54,6 +54,40 @@ def random_subspace(rng, ambient, dim):
             return space
 
 
+# --- matrices -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("rows", [[], [[]], (), [()]])
+def test_matrix_needs_a_row_and_a_column(rows):
+    with pytest.raises(ValueError, match="a matrix needs at least one row and one column"):
+        ExactMatrix(rows)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2], []]])
+def test_matrix_rows_must_have_one_length(rows):
+    with pytest.raises(ValueError, match="all rows must have the same length"):
+        ExactMatrix(rows)
+
+
+def test_matrix_entries_must_be_exact():
+    with pytest.raises(TypeError):
+        ExactMatrix([[1.5]])
+    with pytest.raises(ValueError):
+        ExactMatrix([["1.5"]])
+
+
+def test_matrix_entries_become_fractions_however_given():
+    from_ints = ExactMatrix([[2, 0], [-1, 3]])
+    from_strs = ExactMatrix([["2", "0"], ["-1", "3"]])
+    from_fracs = ExactMatrix(((Fraction(4, 2), Fraction(0)), (Fraction(-1), Fraction(3))))
+    from_iter = ExactMatrix(iter([(2, "0"), iter(["-1", Fraction(3)])]))
+    for m in (from_strs, from_fracs, from_iter):
+        assert m == from_ints and hash(m) == hash(from_ints)
+    assert all(type(x) is Fraction for row in from_ints.entries for x in row)
+    assert type(from_ints.entries) is tuple and type(from_ints.entries[0]) is tuple
+    assert from_ints != from_ints.entries and from_ints.entries != from_ints
+
+
 # --- subspaces ----------------------------------------------------------
 
 

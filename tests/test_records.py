@@ -1,11 +1,16 @@
-"""The result records: frozen, equal and hashed by value, with the field
-names, order and defaults of their public constructors."""
+"""The records, matrices among them: frozen, equal and hashed by value,
+with the field names, order and defaults of their public constructors,
+and surviving pickle and deep copy."""
 
 import copy
+import importlib
+import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import leonard_kit
 from leonard_kit import (
     ChevalleyBasis,
     Decomposition,
@@ -35,6 +40,7 @@ from leonard_kit import (
 from leonard_kit._record import Record
 
 FIELDS = {
+    "ExactMatrix": ("entries",),
     "AdjacencyLabeling": ("w", "x", "y", "z", "theta", "theta_star", "eta", "eta_star"),
     "IdentityCheck": ("holds", "cells", "first_failure"),
     "DichotomyResult": ("tag", "q"),
@@ -70,6 +76,7 @@ def records(kraw, standard_triple):
     a = matrix_with_eigenpairs((1, 0), (0, 1))
     a_star = matrix_with_eigenpairs((1, 1), (1, -1))
     built = {
+        "ExactMatrix": pair.a_star,
         "AdjacencyLabeling": lab,
         "IdentityCheck": verify_transition_identity(lab),
         "DichotomyResult": classify_dichotomy(lab),
@@ -86,8 +93,23 @@ def records(kraw, standard_triple):
         "PtlReport": check_ptl(a, a_star),
         "KrawtchoukNormalForm": krawtchouk_normal_form(pair),
     }
-    assert {type(r).__name__ for r in built.values()} == set(FIELDS)
+    assert {type(r) for r in built.values()} == set(_record_classes())
     return built
+
+
+def _record_classes():
+    """Every ``Record`` subclass defined in the package, each of which
+    must have its fields listed in ``FIELDS``."""
+    for info in pkgutil.iter_modules(leonard_kit.__path__, "leonard_kit."):
+        importlib.import_module(info.name)
+    found, todo = {}, [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("leonard_kit."):
+                found[cls.__name__] = cls
+    assert set(found) == set(FIELDS), "every record type needs its fields listed"
+    return found.values()
 
 
 def _values(record):
@@ -144,6 +166,25 @@ def test_bad_fields_raise_type_error(records, name):
         cls(*values, unknown=None)
     with pytest.raises(TypeError):
         cls(*values, **{FIELDS[name][0]: values[0]})
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_pickle_and_deep_copy_keep_type_and_value(records, name):
+    record = records[name]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        twin = pickle.loads(pickle.dumps(record, protocol))
+        assert type(twin) is type(record) and twin == record and hash(twin) == hash(record)
+    twin = copy.deepcopy(record)
+    assert type(twin) is type(record) and twin == record and twin is not record
+
+
+def test_verified_triple_survives_pickle_and_deep_copy(standard_triple):
+    triple = standard_triple(3)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(triple, protocol)) == triple
+    twin = copy.deepcopy(triple)
+    assert twin == triple
+    assert all(copied.a is not pair.a for copied, pair in zip(twin, triple))
 
 
 def test_defaults():
