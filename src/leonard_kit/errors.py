@@ -83,5 +83,5 @@ class NotArithmetic(LeonardKitError):
     """The eigenvalue data is not in arithmetic progression."""
 
 
-class NotKrawtchouk(LeonardKitError):
-    """Entry verification against the tridiagonal normal form failed."""
+class NotKrawtchouk(TheoremViolation):
+    """A pair with arithmetic sequences missed the normal form: a failed self-check."""

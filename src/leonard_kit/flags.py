@@ -1,10 +1,11 @@
 """Flags, opposition, the decomposition/flag-pair bijection, and
 standard flag sets of Leonard pairs.
 
-A flag is a full chain of subspaces F_0 ⊂ F_1 ⊂ ... ⊂ F_d with
-dim F_i = i + 1.  A decomposition induces a flag through its partial
-sums, and an ordered pair of opposite flags recovers a decomposition
-through componentwise intersections; these two maps invert each other.
+A flag is a full chain of subspaces F_0 ⊂ F_1 ⊂ ... ⊂ F_d with dim F_i = i + 1.
+A decomposition induces a flag through its partial sums, and an ordered pair
+of opposite flags recovers a decomposition through componentwise
+intersections F_i ∩ G_{d-i}; these two maps invert each other.  Flags are
+opposite exactly when those intersections are lines with a direct sum.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from functools import lru_cache
 from itertools import combinations
 
 from ._record import Record
-from .errors import AmbientMismatch, DegenerateDimension, NotOpposite, TheoremViolation
+from .errors import (
+    AmbientMismatch, DegenerateDimension, NotADecomposition, NotOpposite, TheoremViolation
+)
 from .leonard import Decomposition, LeonardPair
 from .linalg import ExactMatrix, Subspace, rank, subspace_intersection, subspace_sum
 
@@ -82,16 +85,23 @@ def are_opposite(f: Flag, g: Flag) -> bool:
 
 
 def decomposition_from_flags(f: Flag, g: Flag) -> Decomposition:
-    """The decomposition [fg] with components F_i ∩ G_{d-i}."""
-    if not are_opposite(f, g):
-        raise NotOpposite("the flags are not opposite")
-    d = f.d
-    return Decomposition(
-        tuple(
-            subspace_intersection(f.components[i], g.components[d - i])
-            for i in range(d + 1)
-        )
-    )
+    """The decomposition [fg] with components L_i = F_i ∩ G_{d-i}, or NotOpposite.
+
+    Lines L_i with a direct sum give L_0 + ... + L_i = F_i and L_{i+1} + ... + L_d
+    = G_{d-1-i}, so F_i ∩ G_{d-1-i} = 0; opposition makes each L_i meet F_{i-1}
+    trivially, so each is a line and the lines are independent.
+    """
+    if f.ambient_dim != g.ambient_dim:
+        raise AmbientMismatch("flags live in different ambient spaces")
+    d, lines = f.d, []
+    for i in range(d + 1):
+        lines.append(subspace_intersection(f.components[i], g.components[d - i]))
+        if lines[-1].dim != 1:
+            raise NotOpposite("the flags are not opposite")
+    try:
+        return Decomposition(tuple(lines))
+    except NotADecomposition:
+        raise NotOpposite("the flags are not opposite") from None
 
 
 class StandardFlagSet(Record):

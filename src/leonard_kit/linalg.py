@@ -45,7 +45,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from ._record import Record
-from .errors import AmbientMismatch, NotSimpleRationalSpectrum, SingularBasis
+from .errors import AmbientMismatch, NotSimpleRationalSpectrum, SingularBasis, TheoremViolation
 
 Rational = Fraction
 Scalar = Union[Fraction, int, str]
@@ -822,10 +822,8 @@ def simple_rational_eigen(m: ExactMatrix) -> tuple[tuple[Fraction, Subspace], ..
             row[i] -= p * (big // q)
             rows.append(row)
         _, _, free = _echelon(rows)
-        if len(free) != 1:
-            raise NotSimpleRationalSpectrum(
-                f"eigenspace of {lam} has dimension {len(free)}"
-            )
+        if len(free) != 1:  # n distinct roots in dimension n make every eigenspace a line
+            raise TheoremViolation(f"eigenspace of {lam} has dimension {len(free)}")
         (x,) = free.values()
         lead = next(v for v in x if v)  # the reduced row of a line leads with 1
         result.append((lam, Subspace._derived(n, (tuple(Fraction(v, lead) for v in x),))))

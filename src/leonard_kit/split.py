@@ -30,28 +30,19 @@ class SplitType(Enum):
     NONE = "none"
 
 
+def _zero_off(m: ExactMatrix, band: tuple[int, int]) -> bool:
+    """Every entry (i, j) of the square m off the band of diagonals j - i is zero."""
+    n = m.rows
+    return all(m[i, j] == 0 for i in range(n) for j in range(n) if j - i not in band)
+
+
 def bidiagonal_shape(m: ExactMatrix) -> BidiagonalShape:
     """Classify the zero pattern; diagonal matrices count as both."""
     if not m.is_square:
         raise ValueError("shape classification needs a square matrix")
-    n = m.rows
-    lower = all(m[i, j] == 0 for i in range(n) for j in range(n) if j - i not in (0, -1))
-    upper = all(m[i, j] == 0 for i in range(n) for j in range(n) if j - i not in (0, 1))
-    if lower and upper:
-        return BidiagonalShape.BOTH
-    if lower:
-        return BidiagonalShape.LOWER
-    if upper:
-        return BidiagonalShape.UPPER
-    return BidiagonalShape.NEITHER
-
-
-def _is_lower(shape: BidiagonalShape) -> bool:
-    return shape in (BidiagonalShape.LOWER, BidiagonalShape.BOTH)
-
-
-def _is_upper(shape: BidiagonalShape) -> bool:
-    return shape in (BidiagonalShape.UPPER, BidiagonalShape.BOTH)
+    if _zero_off(m, (0, -1)):
+        return BidiagonalShape.BOTH if _zero_off(m, (0, 1)) else BidiagonalShape.LOWER
+    return BidiagonalShape.UPPER if _zero_off(m, (0, 1)) else BidiagonalShape.NEITHER
 
 
 def _check_ambient(dec: Decomposition, pair: LeonardPair) -> None:
@@ -83,9 +74,8 @@ def split_type(dec: Decomposition, pair: LeonardPair) -> SplitType:
     _check_ambient(dec, pair)
     reps = [c.representative() for c in dec.components]
     rep_a, rep_a_star = represent_all_in_basis((pair.a, pair.a_star), reps)
-    shape_a, shape_a_star = bidiagonal_shape(rep_a), bidiagonal_shape(rep_a_star)
-    lu = _is_lower(shape_a) and _is_upper(shape_a_star)
-    ul = _is_upper(shape_a) and _is_lower(shape_a_star)
+    lu = _zero_off(rep_a, (0, -1)) and _zero_off(rep_a_star, (0, 1))
+    ul = _zero_off(rep_a, (0, 1)) and _zero_off(rep_a_star, (0, -1))
     return _verdict(lu, ul, pair)
 
 

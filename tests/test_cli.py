@@ -6,11 +6,17 @@ from pathlib import Path
 
 import pytest
 
-from leonard_kit import adjacency, cli, jsonio, sl2
+from leonard_kit import adjacency, cli, jsonio, linalg, sl2
 from leonard_kit.cli import main
 from leonard_kit.errors import NotAdjacent
 from leonard_kit.linalg import ExactMatrix
-from leonard_kit.sl2 import KrawtchoukParameters, krawtchouk_pair, three_mutually_adjacent
+from leonard_kit.sl2 import (
+    KrawtchoukParameters,
+    Sl2Element,
+    krawtchouk_pair,
+    lift,
+    three_mutually_adjacent,
+)
 
 
 def write_pair(path, a, a_star):
@@ -343,12 +349,38 @@ def test_internal_failure_exits_3(kraw_file, capsys, monkeypatch):
     assert "Traceback" in err and "RuntimeError: simulated defect" in err
 
 
-def test_failed_self_check_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(sl2, "check_mutually_adjacent", lambda pairs: False)
-    code, out, err = run(capsys, "triple", "--d", "2", "--p", "1/3")
+def _unreachable_normal_form(d, p):
+    return lift(Sl2Element(1, 0, 0), d), ExactMatrix.zeros(d + 1, d + 1)
+
+
+# each patch breaks a result a theorem guarantees: the triple is mutually
+# adjacent, n distinct roots in dimension n give n eigenlines, and a pair
+# with arithmetic sequences meets the Krawtchouk normal form
+SELF_CHECK_FAILURES = {
+    "triple": (
+        (sl2, "check_mutually_adjacent", lambda pairs: False),
+        "TheoremViolation: lifted pairs must be mutually adjacent",
+    ),
+    "verify": (
+        (linalg, "_rational_roots", lambda coeffs: [Fraction(2), Fraction(0), Fraction(5)]),
+        "TheoremViolation: eigenspace of 5 has dimension 0",
+    ),
+    "companions": (
+        (sl2, "_krawtchouk_matrices", _unreachable_normal_form),
+        "NotKrawtchouk: no orientation matches the tridiagonal normal form",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", SELF_CHECK_FAILURES)
+def test_failed_self_check_exits_3(command, kraw_file, capsys, monkeypatch):
+    argv = ["--d", "2", "--p", "1/3"] if command == "triple" else [kraw_file(2, "1/3")]
+    patch, message = SELF_CHECK_FAILURES[command]
+    monkeypatch.setattr(*patch)
+    code, out, err = run(capsys, command, *argv)
     assert code == 3
     assert out == ""
-    assert "Traceback" in err and "TheoremViolation" in err
+    assert "Traceback" in err and message in err
 
 
 @pytest.fixture

@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leonard_kit.errors import NotADecomposition
-from leonard_kit.flags import decomposition_from_flags, standard_flag_set
+from leonard_kit.flags import decomposition_from_flags, induced_flag, standard_flag_set
 from leonard_kit.leonard import Decomposition, Kind, standard_decompositions, verify_leonard
-from leonard_kit.linalg import ExactMatrix, Subspace
+from leonard_kit.linalg import ExactMatrix, Subspace, conjugate_all
 from leonard_kit.split import (
     BidiagonalShape,
     SplitType,
@@ -124,6 +125,54 @@ def test_wrong_ambient_rejected(kraw):
         split_type(dec, pair)
     with pytest.raises(NotADecomposition):
         split_type_via_flags(dec, pair)
+
+
+# --- a Leonard pair outside the Krawtchouk family -----------------------
+
+
+def q_racah_split_form(d, q=Fraction(2), s=3, s_star=5, r1=7):
+    """The q-Racah pair with theta_0 = theta*_0 = 0 and h = h* = 1, in split
+    form: A is lower bidiagonal with theta_i on the diagonal and 1 below it,
+    A* upper bidiagonal with theta*_i on the diagonal and phi_i at (i-1, i)."""
+    r2 = s * s_star * q ** (d + 1) / r1
+    theta = [(1 - q**i) * (1 - s * q ** (i + 1)) / q**i for i in range(d + 1)]
+    theta_star = [(1 - q**i) * (1 - s_star * q ** (i + 1)) / q**i for i in range(d + 1)]
+    phi = [
+        q ** (1 - 2 * i) * (1 - q**i) * (1 - q ** (i - d - 1)) * (1 - r1 * q**i) * (1 - r2 * q**i)
+        for i in range(1, d + 1)
+    ]
+    n = d + 1
+    a = ExactMatrix([[theta[i] if i == j else int(i == j + 1) for j in range(n)] for i in range(n)])
+    a_star = ExactMatrix(
+        [[theta_star[i] if i == j else phi[i] if j == i + 1 else 0 for j in range(n)]
+         for i in range(n)]
+    )
+    return a, a_star
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_q_racah_pair_keeps_its_sequences_flags_and_split_routes(d):
+    # no sequence branch is asserted: at d >= 3 theta mixes q^i and q^-i terms
+    a, a_star = q_racah_split_form(d)
+    plain = verify_leonard(a, a_star)
+    n = d + 1
+    unit = Decomposition(tuple(Subspace.line([int(i == k) for i in range(n)]) for k in range(n)))
+    assert split_type(unit, plain) is split_type_via_flags(unit, plain) is SplitType.LU
+    rng = random.Random(d)
+    while True:
+        t = ExactMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if t.det() != 0:
+            break
+    pair = verify_leonard(*conjugate_all((a, a_star), t))
+    assert pair.eigenvalue_sequences == plain.eigenvalue_sequences
+    assert pair.dual_eigenvalue_sequences == plain.dual_eigenvalue_sequences
+    for dec in pair.a_standard_decompositions + pair.a_star_standard_decompositions:
+        assert decomposition_from_flags(induced_flag(dec), induced_flag(dec.inversion())) == dec
+    ordered = list(permutations(standard_flag_set(pair).all_flags(), 2))
+    assert len(ordered) == 12
+    for x, y in ordered:
+        dec = decomposition_from_flags(x, y)
+        assert split_type(dec, pair) is split_type_via_flags(dec, pair)
 
 
 # --- an inversion flips the split type ------------------------------------
