@@ -16,15 +16,11 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from . import jsonio
-from .adjacency import (
-    are_adjacent,
-    build_labeling,
-    classify_dichotomy,
-    verify_transition_identity,
-)
+# modules, not names from them: the package loads a module at its first
+# attribute access, so each command runs only the modules it calls
+from . import adjacency, flags, jsonio, leonard, sequences, sl2
 from .errors import (
     DependentVectors,
     InvalidP,
@@ -36,11 +32,10 @@ from .errors import (
     RepeatedEntry,
     TheoremViolation,
 )
-from .flags import standard_flag_set
-from .leonard import LeonardPair, verify_leonard
-from .linalg import ExactMatrix
-from .sequences import SequenceTag, classify_sequence
-from .sl2 import KrawtchoukParameters, companions, three_mutually_adjacent
+
+if TYPE_CHECKING:
+    from .leonard import LeonardPair
+    from .linalg import ExactMatrix
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -113,7 +108,7 @@ def _load_pair(path: str) -> tuple[ExactMatrix, ExactMatrix]:
 def _verify_input_pair(path: str) -> LeonardPair:
     a, a_star = _load_pair(path)
     try:
-        return verify_leonard(a, a_star)
+        return leonard.verify_leonard(a, a_star)
     except (NotSimpleRationalSpectrum, NotTridiagonalizable) as exc:
         raise InputError(
             f"{path} is not a Leonard pair over the rationals: {exc}"
@@ -159,7 +154,7 @@ def _verify_or_reject(args) -> Optional[LeonardPair]:
     for an input that is not a Leonard pair is emitted."""
     a, a_star = _load_pair(args.pair)
     try:
-        return verify_leonard(a, a_star)
+        return leonard.verify_leonard(a, a_star)
     except (NotSimpleRationalSpectrum, NotTridiagonalizable) as exc:
         report = {"leonard_pair": False, "error": type(exc).__name__, "reason": str(exc)}
         _emit(lambda: report, args.output, f"not a Leonard pair: {exc}")
@@ -178,19 +173,19 @@ def _cmd_flags(args) -> int:
     pair = _verify_or_reject(args)
     if pair is None:
         return EXIT_NO
-    flag_set = standard_flag_set(pair)
-    flags = flag_set.all_flags()
+    flag_set = flags.standard_flag_set(pair)
+    all_flags = flag_set.all_flags()
     a_count = len(flag_set.a_flags)
     _emit(
         lambda: {
             "leonard_pair": True,
             "d": pair.d,
-            "flags": [jsonio.flag_to_obj(f) for f in flags],
+            "flags": [jsonio.flag_to_obj(f) for f in all_flags],
             "a_standard": list(range(a_count)),
-            "a_star_standard": list(range(a_count, len(flags))),
+            "a_star_standard": list(range(a_count, len(all_flags))),
             "principal_relation": None
             if pair.d == 0
-            else [list(range(a_count)), list(range(a_count, len(flags)))],
+            else [list(range(a_count)), list(range(a_count, len(all_flags)))],
         },
         args.output,
         f"{4 if pair.d else 1} distinct standard flags",
@@ -230,9 +225,9 @@ def _cmd_adjacent(args) -> int:
         }
         _emit(lambda: report, args.output, "adjacency is vacuous at d = 0")
         return EXIT_YES
-    verdict = are_adjacent(p1, p2)
+    verdict = adjacency.are_adjacent(p1, p2)
     try:
-        lab = build_labeling(p1, p2)
+        lab = adjacency.build_labeling(p1, p2)
     except NotAdjacent:
         lab = None
     via_flags = lab is not None
@@ -242,8 +237,8 @@ def _cmd_adjacent(args) -> int:
         report = {"adjacent": False, "d": p1.d, "via_flags": via_flags}
         _emit(lambda: report, args.output, "pairs are not adjacent")
         return EXIT_NO
-    identity = verify_transition_identity(lab)
-    dichotomy = classify_dichotomy(lab)
+    identity = adjacency.verify_transition_identity(lab)
+    dichotomy = adjacency.classify_dichotomy(lab)
     _emit(
         lambda: {
             "adjacent": True,
@@ -289,7 +284,7 @@ def _cmd_triple(args) -> int:
     if args.p is not None:
         p = _parse_rational(args.p, "--p")
         try:
-            KrawtchoukParameters(args.d, p)
+            sl2.KrawtchoukParameters(args.d, p)
         except InvalidP as exc:
             raise InputError(str(exc))
         witnesses = ((1, 0), (0, 1), (1, 1), (p, p - 1))
@@ -312,7 +307,7 @@ def _cmd_triple(args) -> int:
             vecs.append(vec)
         witnesses = tuple(vecs)
     try:
-        pairs = three_mutually_adjacent(args.d, *witnesses)
+        pairs = sl2.three_mutually_adjacent(args.d, *witnesses)
     except DependentVectors as exc:
         raise InputError(str(exc))
     _emit(
@@ -326,7 +321,7 @@ def _cmd_triple(args) -> int:
 def _cmd_companions(args) -> int:
     pair = _verify_input_pair(args.pair)
     try:
-        nf, b_pair, c_pair = companions(pair)
+        nf, b_pair, c_pair = sl2.companions(pair)
     except NotArithmetic as exc:
         report = {"companions": False, "reason": str(exc)}
         _emit(lambda: report, args.output, f"no companions: {exc}")
@@ -358,7 +353,7 @@ def _cmd_classify_seq(args) -> int:
     except ValueError as exc:
         raise InputError(f"{args.sequence}: {exc}")
     try:
-        result = classify_sequence(seq)
+        result = sequences.classify_sequence(seq)
     except RepeatedEntry as exc:
         raise InputError(f"{args.sequence}: {exc}")
     _emit(
@@ -371,7 +366,7 @@ def _cmd_classify_seq(args) -> int:
         args.output,
         f"sequence is {result.tag.value}",
     )
-    return EXIT_YES if result.tag is not SequenceTag.NEITHER else EXIT_NO
+    return EXIT_YES if result.tag is not sequences.SequenceTag.NEITHER else EXIT_NO
 
 
 def _build_parser() -> argparse.ArgumentParser:

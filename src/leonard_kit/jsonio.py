@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .flags import Flag
-from .leonard import Decomposition, LeonardPair
-from .linalg import ExactMatrix, Subspace, Vector, as_fraction
+from . import linalg
+from ._scalar import Vector, as_fraction
+
+# for annotations only, and linalg is reached through the module, so that
+# parsing and writing a sequence runs none of these modules
+if TYPE_CHECKING:
+    from .flags import Flag
+    from .leonard import Decomposition, LeonardPair
+    from .linalg import ExactMatrix, Subspace
 
 
 def fraction_from_obj(obj: Any) -> Fraction:
@@ -51,7 +57,7 @@ def matrix_from_obj(obj: Any) -> ExactMatrix:
         if not isinstance(row, list) or len(row) != cols:
             raise ValueError(f"every row must be a list of {cols} entries")
         parsed.append([fraction_from_obj(x) for x in row])
-    return ExactMatrix(parsed)
+    return linalg.ExactMatrix(parsed)
 
 
 def pair_to_obj(a: ExactMatrix, a_star: ExactMatrix) -> dict[str, Any]:

@@ -5,7 +5,10 @@ row echelon forms, canonical subspaces of a rational coordinate space,
 exact eigendecomposition for matrices with simple rational spectra,
 and changes of basis.  Matrices and subspaces are immutable, entries
 are ``fractions.Fraction``, and every result is exact, so equality of
-canonical forms decides equality of the underlying objects.
+canonical forms decides equality of the underlying objects.  The
+scalar aliases and the coercion ``as_fraction`` are defined in
+``_scalar`` and re-exported here, so code that handles only scalars and
+sequences does not run this module.
 
 Results are ``Fraction``s, but the elimination behind them is not: it
 clears denominators once and works on Python ints, so no gcd is taken
@@ -37,47 +40,15 @@ entries, not the prime factors of the entries.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import count
 from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
+from ._scalar import _RATIONAL, ONE, ZERO, Rational, Scalar, Vector, as_fraction, as_vector
 from .errors import AmbientMismatch, NotSimpleRationalSpectrum, SingularBasis, TheoremViolation
-
-Rational = Fraction
-Scalar = Union[Fraction, int, str]
-Vector = tuple[Fraction, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def as_fraction(x: Scalar) -> Fraction:
-    """Coerce an int, Fraction, or string to a Fraction.  A string is an
-    optionally signed integer or p/q in decimal digits ("-3", "4/3"),
-    with no decimal point, exponent, underscore or whitespace."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        if not _RATIONAL.fullmatch(x):
-            raise ValueError(f"cannot parse rational {x!r}: expected an integer or p/q")
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"cannot parse rational {x!r}: {exc}") from None
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-def as_vector(entries: Iterable[Scalar]) -> Vector:
-    return tuple(as_fraction(x) for x in entries)
 
 
 class ExactMatrix(Record):

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from ._record import Record
+from ._scalar import ONE, Scalar, as_vector
 from .errors import DimensionMismatch, RepeatedEntry
-from .linalg import ONE, Scalar, as_vector
 
 
 class SequenceTag(Enum):

@@ -397,7 +397,7 @@ def test_adjacency_routes_disagreeing_exits_3(member_files, capsys, monkeypatch)
     def no_labeling(p, q):
         raise NotAdjacent("the pairs are not adjacent")
 
-    monkeypatch.setattr(cli, "build_labeling", no_labeling)
+    monkeypatch.setattr(adjacency, "build_labeling", no_labeling)
     code, out, err = run(capsys, "adjacent", *member_files)
     assert code == 3
     assert out == ""
