@@ -47,7 +47,7 @@ from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
-from ._scalar import _RATIONAL, ONE, ZERO, Rational, Scalar, Vector, as_fraction, as_vector
+from ._scalar import ONE, ZERO, Rational, Scalar, Vector, as_fraction, as_vector
 from .errors import AmbientMismatch, NotSimpleRationalSpectrum, SingularBasis, TheoremViolation
 
 

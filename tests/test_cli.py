@@ -439,11 +439,17 @@ def test_usage_error_from_argparse(capsys):
 
 def test_import_does_not_load_dataclasses():
     """Every command pays for importing the package; the records must not
-    bring in dataclasses and the inspect machinery behind it."""
+    bring in dataclasses and the inspect machinery behind it.  Modules run
+    at first use, so the star import runs every one of them first."""
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import leonard_kit.cli; "
-        "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'"
+        f"import sys, types; sys.path.insert(0, {src!r}); import leonard_kit.cli; "
+        "from leonard_kit import *; "
+        "lazy = [name for name, module in sys.modules.items() "
+        "if name.startswith('leonard_kit.') and type(module) is not types.ModuleType]; "
+        "assert not lazy, f'not run: {lazy}'; "
+        "assert 'dataclasses' not in sys.modules, 'dataclasses was imported'; "
+        "assert 'inspect' not in sys.modules, 'inspect was imported'"
     )
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
