@@ -19,17 +19,17 @@ until a result is turned back into fractions.
   below 2^61 by reduction to upper Hessenberg form, and rebuilt by the
   Chinese remainder theorem with the symmetric lift once the product of
   the primes exceeds twice Hadamard's bound on its coefficients.
-- ``Subspace.span``, ``Subspace.contains``, ``kernel``, ``rank``,
-  ``ExactMatrix.det``, ``ExactMatrix.inverse`` and ``represent_all_in_basis``
-  share one fraction-free Bareiss elimination.  A row is rewritten only
-  when it is eliminated, dividing exactly by the pivot it was last
-  rewritten by, so every entry stays a minor of the input, and back
-  substitution yields the solutions times one common denominator.
-  The canonical forms read their reduced rows off the kernel solutions,
-  and each eigenline comes from one elimination of the shifted rows,
-  each row cleared of denominators once.  Every change of basis
-  S^{-1} M S and conjugation S M S^{-1} in the package is one
-  ``represent_all_in_basis`` solve for all its operators.
+- ``Subspace.span``, ``Subspace.contains``, ``subspace_intersection``,
+  ``kernel``, ``rank``, ``ExactMatrix.det``, ``ExactMatrix.inverse`` and
+  ``represent_all_in_basis`` share one fraction-free Bareiss elimination.
+  A row is rewritten only when it is eliminated, dividing exactly by the
+  pivot it was last rewritten by, so every entry stays a minor of the
+  input, and back substitution yields the solutions times one common
+  denominator.  Canonical forms read their reduced rows off the kernel
+  solutions.  Each eigenline is one elimination of the shifted rows,
+  and U ∩ W one of W's equations in the coefficients of U.  Every
+  change of basis S^{-1} M S and conjugation S M S^{-1} in the package
+  is one ``represent_all_in_basis`` solve for all its operators.
 
 Rational eigenvalues are found without factoring any number: the
 integer roots of a monic rescaling of the squarefree characteristic
@@ -427,30 +427,30 @@ def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
 def subspace_intersection(u: Subspace, w: Subspace) -> Subspace:
     """Canonical form of U ∩ W.
 
-    A vector lies in the intersection exactly when it is a combination
-    a·U = b·W; the coefficient pairs (a, b) form the kernel of the
-    stacked system with columns (U^T | -W^T).
+    With U the smaller space, x = Σ_k a_k u_k lies in W exactly when
+    x_c = Σ_p w_p[c]·x_p on each free column c of W, over W's reduced rows
+    w_p and pivot columns p: n - dim W integer equations in only dim U
+    unknowns, where parametrizing W or stacking both bases takes more.
     """
     if u.ambient_dim != w.ambient_dim:
         raise AmbientMismatch("subspaces live in different ambient spaces")
-    n = u.ambient_dim
-    if u.is_zero or w.is_zero:
-        return Subspace.zero(n)
-    stacked = ExactMatrix(
-        [
-            [u.basis[i][r] for i in range(u.dim)]
-            + [-w.basis[j][r] for j in range(w.dim)]
-            for r in range(n)
-        ]
-    )
-    vectors = []
-    for coeffs in kernel(stacked):
-        vec = [ZERO] * n
-        for i in range(u.dim):
-            if coeffs[i] != 0:
-                vec = [x + coeffs[i] * y for x, y in zip(vec, u.basis[i])]
-        vectors.append(tuple(vec))
-    return Subspace.span(n, vectors)
+    u, w = (u, w) if u.dim <= w.dim else (w, u)
+    if u.is_zero:
+        return u
+    ws, den = _integer_matrix(ExactMatrix(w.basis))
+    rows = [(row.index(den), row) for row in ws]  # each reduced row is den on its pivot
+    us = [_scaled(row)[0] for row in u.basis]
+    residues = []  # den·x less Σ_p x_p·(den·w_p), which is 0 on W's pivot columns
+    for x in us:
+        r = [den * v for v in x]
+        for xp, row in ((x[p], row) for p, row in rows if x[p]):
+            r = [a - xp * b for a, b in zip(r, row)]
+        residues.append(r)
+    eqs = [list(e) for e in zip(*residues) if any(e)]
+    if not eqs:
+        return u
+    vectors = [[sum(map(mul, a, col)) for col in zip(*us)] for a in _echelon(eqs)[2].values()]
+    return Subspace.span(u.ambient_dim, [[x // g for x in v] for v in vectors for g in [gcd(*v)]])
 
 
 # The 512 largest primes below 2^61, as 2^61 - k for these k; their

@@ -757,6 +757,53 @@ def test_contains_rejects_ambient_mismatch():
             _reference_contains(u, w)
 
 
+def _reference_intersection(u, w):
+    """The stacked kernel subspace_intersection used before it solved W's
+    equations: the coefficient pairs (a, b) with a·U = b·W form the kernel
+    of the system with columns (U^T | -W^T)."""
+    n = u.ambient_dim
+    if u.is_zero or w.is_zero:
+        return Subspace.zero(n)
+    stacked = ExactMatrix(
+        [[row[r] for row in u.basis] + [-row[r] for row in w.basis] for r in range(n)]
+    )
+    vectors = [
+        [sum(c * row[r] for c, row in zip(coeffs, u.basis)) for r in range(n)]
+        for coeffs in kernel(stacked)
+    ]
+    return Subspace.span(n, vectors)
+
+
+@given(st.integers(1, 5).flatmap(_subspace_pairs))
+@example((Subspace.zero(3), Subspace.zero(3)))
+@example((Subspace.zero(2), Subspace.line((1, 2))))
+@example((Subspace.full(3), Subspace.zero(3)))
+@example((Subspace.full(3), Subspace.full(3)))
+@example((Subspace.full(3), Subspace.line((0, 0, 1))))
+@example((Subspace.line((1, 2, 0)), Subspace.line((Fraction(-1, 2), -1, 0))))
+@example((Subspace.line((1, 2, 0)), Subspace.line((0, 1, 0))))
+@ORACLE
+def test_intersection_matches_stacked_kernel(spaces):
+    u, w = spaces
+    expected = _reference_intersection(u, w)
+    assert subspace_intersection(u, w) == subspace_intersection(w, u) == expected
+
+
+def test_intersection_matches_stacked_kernel_on_large_shapes():
+    """A line in and out of a plane of Q^64, and two dense 31-dimensional
+    spaces of Q^32, which meet in 30 dimensions."""
+    rng = random.Random(64)
+    p, q, r = ([rng.randint(-5, 5) for _ in range(64)] for _ in range(3))
+    plane = Subspace.span(64, [p, q])
+    inside = Subspace.line([3 * x - y for x, y in zip(p, q)])
+    outside = Subspace.line([x + y + z for x, y, z in zip(p, q, r)])
+    dense = [random_subspace(rng, 32, 31) for _ in range(2)]
+    for u, w, dim in [(inside, plane, 1), (outside, plane, 0), (*dense, 30)]:
+        meet = subspace_intersection(u, w)
+        assert meet.dim == dim
+        assert meet == subspace_intersection(w, u) == _reference_intersection(u, w)
+
+
 def _sylvester_hadamard(order):
     h = [[1]]
     while len(h) < order:

@@ -6,10 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leonard_kit.errors import NotADecomposition
+from leonard_kit.errors import NotADecomposition, NotArithmetic
 from leonard_kit.flags import decomposition_from_flags, induced_flag, standard_flag_set
 from leonard_kit.leonard import Decomposition, Kind, standard_decompositions, verify_leonard
 from leonard_kit.linalg import ExactMatrix, Subspace, conjugate_all
+from leonard_kit.sequences import (
+    SequenceClass,
+    SequenceTag,
+    check_three_term_ratio,
+    classify_sequence,
+)
+from leonard_kit.sl2 import companions
 from leonard_kit.split import (
     BidiagonalShape,
     SplitType,
@@ -150,10 +157,20 @@ def q_racah_split_form(d, q=Fraction(2), s=3, s_star=5, r1=7):
     return a, a_star
 
 
-@pytest.mark.parametrize("d", range(1, 6))
-def test_q_racah_pair_keeps_its_sequences_flags_and_split_routes(d):
-    # no sequence branch is asserted: at d >= 3 theta mixes q^i and q^-i terms
-    a, a_star = q_racah_split_form(d)
+# s = s* = 0 gives the affine q-Krawtchouk family: theta_i = theta*_i = 2^-i - 1
+AFFINE_Q_KRAWTCHOUK = [
+    pytest.param(d, {"s": 0, "s_star": 0, "r1": r1}, id=f"affine-q-krawtchouk-{name}-{d}")
+    for r1, name in [(7, "r7"), (Fraction(1, 5), "r1over5")]
+    for d in range(2, 6)
+]
+
+
+@pytest.mark.parametrize(
+    "d, family", [pytest.param(d, {}, id=str(d)) for d in range(1, 6)] + AFFINE_Q_KRAWTCHOUK
+)
+def test_q_racah_pair_keeps_its_sequences_flags_and_split_routes(d, family):
+    # no q-Racah sequence branch is asserted: at d >= 3 theta mixes q^i and q^-i terms
+    a, a_star = q_racah_split_form(d, **family)
     plain = verify_leonard(a, a_star)
     n = d + 1
     unit = Decomposition(tuple(Subspace.line([int(i == k) for i in range(n)]) for k in range(n)))
@@ -173,6 +190,17 @@ def test_q_racah_pair_keeps_its_sequences_flags_and_split_routes(d):
     for x, y in ordered:
         dec = decomposition_from_flags(x, y)
         assert split_type(dec, pair) is split_type_via_flags(dec, pair)
+    if family:
+        theta, theta_star = pair.eigenvalue_sequences[0], pair.dual_eigenvalue_sequences[0]
+        for seq in (theta, theta_star):
+            assert classify_sequence(seq) == SequenceClass(
+                SequenceTag.Q_CLASSICAL, alpha=1, beta=-1, q=Fraction(1, 2)
+            )
+        ratio = Fraction(7, 2) if d >= 3 else None
+        assert check_three_term_ratio(theta, theta_star) == (True, ratio)
+        for p in (plain, pair):
+            with pytest.raises(NotArithmetic):
+                companions(p)
 
 
 # --- an inversion flips the split type ------------------------------------
