@@ -19,7 +19,7 @@ from .errors import (
     NotADecomposition,
     NotTridiagonalizable,
 )
-from .linalg import ExactMatrix, Subspace, rank, represent_in_basis, simple_rational_eigen
+from .linalg import ExactMatrix, Subspace, rank, simple_rational_eigen, support_in_basis
 
 
 class Kind(Enum):
@@ -109,38 +109,30 @@ class LeonardPair(Record):
         )
 
 
-def _path_order(m: ExactMatrix) -> list[int]:
-    """Order the indices so that the support graph of the off-diagonal
-    entries is walked end to end; fail unless that graph is a path."""
-    n = m.rows
+def _path_order(support: set[tuple[int, int]], n: int) -> list[int]:
+    """Order the indices by walking the support graph of the off-diagonal
+    positions end to end; fail unless it is a path with both sides nonzero."""
     if n == 1:
         return [0]
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    edges = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i, j] != 0 or m[j, i] != 0:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-                edges += 1
-    if edges != n - 1:
+    edges = {(min(i, j), max(i, j)) for i, j in support if i != j}
+    if len(edges) != n - 1:
         raise NotTridiagonalizable(
-            f"support graph has {edges} edges where a path on {n} vertices needs {n - 1}"
+            f"support graph has {len(edges)} edges where a path on {n} vertices needs {n - 1}"
         )
+    nbrs = [[j for e in edges if i in e for j in e if j != i] for i in range(n)]
     if any(len(x) > 2 for x in nbrs):
         raise NotTridiagonalizable("support graph has a vertex of degree above two")
     ends = [v for v, x in enumerate(nbrs) if len(x) == 1]
     if len(ends) != 2:
         raise NotTridiagonalizable("support graph is not a single path")
     order = [ends[0]]
-    prev = -1
     while len(order) < n:
-        cur = order[-1]
-        step = [v for v in nbrs[cur] if v != prev]
+        step = [v for v in nbrs[order[-1]] if v not in order[-2:]]
         if not step:
             raise NotTridiagonalizable("support graph is disconnected")
-        prev = cur
         order.append(step[0])
+    if any((j, i) not in support for i, j in support):
+        raise NotTridiagonalizable("an off-diagonal entry vanishes on one side of the path")
     return order
 
 
@@ -149,13 +141,7 @@ def _standard_side(
 ) -> tuple[tuple[Decomposition, ...], tuple[tuple[Fraction, ...], ...]]:
     eigen = simple_rational_eigen(diag_op)
     reps = [space.representative() for _, space in eigen]
-    rep_matrix = represent_in_basis(tri_op, reps)
-    order = _path_order(rep_matrix)
-    for u, v in zip(order, order[1:]):
-        if rep_matrix[u, v] == 0 or rep_matrix[v, u] == 0:
-            raise NotTridiagonalizable(
-                "an off-diagonal entry vanishes on one side of the path"
-            )
+    order = _path_order(*support_in_basis((tri_op,), reps), tri_op.rows)
     values = tuple(eigen[k][0] for k in order)
     spaces = tuple(eigen[k][1] for k in order)
     if len(order) >= 2 and values[0] < values[-1]:

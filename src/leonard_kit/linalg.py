@@ -29,7 +29,8 @@ until a result is turned back into fractions.
   solutions.  Each eigenline is one elimination of the shifted rows,
   and U ∩ W one of W's equations in the coefficients of U.  Every
   change of basis S^{-1} M S and conjugation S M S^{-1} in the package
-  is one ``represent_all_in_basis`` solve for all its operators.
+  is one shared solve for all its operators (``_solve_in_basis``); split
+  and recognition read only its nonzero positions (``support_in_basis``).
 
 Rational eigenvalues are found without factoring any number: the
 integer roots of a monic rescaling of the squarefree characteristic
@@ -806,17 +807,14 @@ def represent_in_basis(m: ExactMatrix, basis: Sequence[Iterable[Scalar]]) -> Exa
     return represent_all_in_basis((m,), basis)[0]
 
 
-def represent_all_in_basis(
+def _solve_in_basis(
     ms: Sequence[ExactMatrix], basis: Sequence[Iterable[Scalar]]
-) -> tuple[ExactMatrix, ...]:
-    """S^{-1} m S for each operator m, with the basis vectors as the
-    columns of S, from one elimination of S.
-
-    With the basis vectors scaled to integers (column j of S_int is s_j
-    times column j of S) and B_k = D_k·m_k integer matrices, one
-    fraction-free solve of S_int X = (B_1 S_int | B_2 S_int | ...) gives
-    S^{-1} m_k S = s_i X_ij / (D_k s_j) on the k-th block of X.
-    """
+) -> tuple[list[tuple[list[list[int]], int]], tuple[int, ...]]:
+    """One fraction-free solve for every S^{-1} m S, the basis vectors being
+    the columns of S.  Column j of S_int is s_j times column j of S, and
+    B_k = D_k·m_k is integral.  The integer X = det·S_int^{-1}(B_1 S_int |
+    B_2 S_int | ...) gives S^{-1} m_k S = s_i X_ij / (D_k·det·s_j) on block k.
+    Returns the columns of each block of X with its D_k·det, and the s_j."""
     vecs = [as_vector(v) for v in basis]
     n = len(vecs)
     if not all(m.is_square for m in ms):
@@ -825,17 +823,38 @@ def represent_all_in_basis(
         raise AmbientMismatch("basis size differs from the matrix dimension")
     columns, scales = zip(*(_scaled(v) for v in vecs))
     integer = [_integer_matrix(m) for m in ms]
+    # row i of B_k S_int from the nonzero entries of row i of B_k: O(n^2) for a tridiagonal m_k
+    nonzero = [[[(c, v) for c, v in enumerate(row) if v] for row in b] for b, _ in integer]
     rows = [
-        list(s_row) + [sum(map(mul, b[i], col)) for b, _ in integer for col in columns]
+        list(s_row) + [sum(v * col[c] for c, v in nz[i]) for nz in nonzero for col in columns]
         for i, s_row in enumerate(zip(*columns))
     ]
     xs, det = _solve(rows, n)
+    return [(xs[k * n : (k + 1) * n], den * det) for k, (_, den) in enumerate(integer)], scales
+
+
+def represent_all_in_basis(
+    ms: Sequence[ExactMatrix], basis: Sequence[Iterable[Scalar]]
+) -> tuple[ExactMatrix, ...]:
+    """S^{-1} m S for each operator m, with the basis vectors as the columns of S."""
+    blocks, scales = _solve_in_basis(ms, basis)
     return tuple(
         ExactMatrix(
-            [Fraction(s_i * x[i], den * det * s) for x, s in zip(xs[k * n :], scales)]
+            [Fraction(s_i * x[i], den * s) for x, s in zip(xs, scales)]
             for i, s_i in enumerate(scales)
         )
-        for k, (_, den) in enumerate(integer)
+        for xs, den in blocks
+    )
+
+
+def support_in_basis(
+    ms: Sequence[ExactMatrix], basis: Sequence[Iterable[Scalar]]
+) -> tuple[set[tuple[int, int]], ...]:
+    """The positions (i, j) of the nonzero entries of each S^{-1} m S, read
+    off the integer solve: s_i X_ij / (D_k·det·s_j) is zero exactly when X_ij is."""
+    return tuple(
+        {(i, j) for j, x in enumerate(xs) for i, v in enumerate(x) if v}
+        for xs, _ in _solve_in_basis(ms, basis)[0]
     )
 
 

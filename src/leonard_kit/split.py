@@ -13,7 +13,7 @@ from enum import Enum
 from .errors import NotADecomposition, TheoremViolation
 from .flags import induced_flag, standard_flag_set
 from .leonard import Decomposition, LeonardPair
-from .linalg import ExactMatrix, represent_all_in_basis
+from .linalg import ExactMatrix, support_in_basis
 
 
 class BidiagonalShape(Enum):
@@ -30,19 +30,14 @@ class SplitType(Enum):
     NONE = "none"
 
 
-def _zero_off(m: ExactMatrix, band: tuple[int, int]) -> bool:
-    """Every entry (i, j) of the square m off the band of diagonals j - i is zero."""
-    n = m.rows
-    return all(m[i, j] == 0 for i in range(n) for j in range(n) if j - i not in band)
-
-
 def bidiagonal_shape(m: ExactMatrix) -> BidiagonalShape:
     """Classify the zero pattern; diagonal matrices count as both."""
     if not m.is_square:
         raise ValueError("shape classification needs a square matrix")
-    if _zero_off(m, (0, -1)):
-        return BidiagonalShape.BOTH if _zero_off(m, (0, 1)) else BidiagonalShape.LOWER
-    return BidiagonalShape.UPPER if _zero_off(m, (0, 1)) else BidiagonalShape.NEITHER
+    offsets = {j - i for i, row in enumerate(m.entries) for j, x in enumerate(row) if x}
+    if offsets <= {0, -1}:
+        return BidiagonalShape.BOTH if offsets <= {0, 1} else BidiagonalShape.LOWER
+    return BidiagonalShape.UPPER if offsets <= {0, 1} else BidiagonalShape.NEITHER
 
 
 def _check_ambient(dec: Decomposition, pair: LeonardPair) -> None:
@@ -66,16 +61,15 @@ def _verdict(lu: bool, ul: bool, pair: LeonardPair) -> SplitType:
 
 
 def split_type(dec: Decomposition, pair: LeonardPair) -> SplitType:
-    """Classify by representing both operators in the induced basis.
-
-    The verdict depends only on the zero patterns, hence only on the
-    component lines and not on the chosen representatives.
-    """
+    """Classify by the zero patterns of both operators in the induced basis,
+    which depend only on the component lines, not on the representatives."""
     _check_ambient(dec, pair)
     reps = [c.representative() for c in dec.components]
-    rep_a, rep_a_star = represent_all_in_basis((pair.a, pair.a_star), reps)
-    lu = _zero_off(rep_a, (0, -1)) and _zero_off(rep_a_star, (0, 1))
-    ul = _zero_off(rep_a, (0, 1)) and _zero_off(rep_a_star, (0, -1))
+    off_a, off_a_star = (
+        {j - i for i, j in s} for s in support_in_basis((pair.a, pair.a_star), reps)
+    )
+    lu = off_a <= {0, -1} and off_a_star <= {0, 1}
+    ul = off_a <= {0, 1} and off_a_star <= {0, -1}
     return _verdict(lu, ul, pair)
 
 

@@ -1,8 +1,11 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from leonard_kit import jsonio
+from leonard_kit.cli import main
 from leonard_kit.errors import (
     DecompositionNotStandard,
     DimensionMismatch,
@@ -96,6 +99,43 @@ def test_verify_rejects_wide_irrational_block():
 def test_verify_rejects_size_mismatch():
     with pytest.raises(DimensionMismatch):
         verify_leonard(ExactMatrix.identity(2), ExactMatrix.identity(3))
+
+
+def _both_ways(*edges):
+    return {p for i, j in edges for p in ((i, j), (j, i))}
+
+
+# (n, support of the 0/1 matrix A*, reason) with A = diag(n - 1, ..., 0)
+SUPPORT_GRAPH_DEFECTS = [
+    (
+        4,
+        _both_ways((0, 1), (1, 2), (2, 3), (0, 2)),
+        "support graph has 4 edges where a path on 4 vertices needs 3",
+    ),
+    (4, _both_ways((0, 1), (0, 2), (0, 3)), "support graph has a vertex of degree above two"),
+    (4, _both_ways((1, 2), (2, 3), (1, 3)), "support graph is not a single path"),
+    (5, _both_ways((0, 1), (2, 3), (3, 4), (2, 4)), "support graph is disconnected"),
+    (
+        3,
+        _both_ways((1, 2)) | {(0, 1)},
+        "an off-diagonal entry vanishes on one side of the path",
+    ),
+]
+
+
+@pytest.mark.parametrize("n, support, reason", SUPPORT_GRAPH_DEFECTS)
+def test_recognition_names_the_support_graph_defect(n, support, reason, tmp_path, capsys):
+    a = ExactMatrix.diagonal(range(n - 1, -1, -1))
+    a_star = ExactMatrix([[int((i, j) in support) for j in range(n)] for i in range(n)])
+    with pytest.raises(NotTridiagonalizable) as exc:
+        verify_leonard(a, a_star)
+    assert str(exc.value) == reason
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(jsonio.pair_to_obj(a, a_star)))
+    assert main(["verify", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "NotTridiagonalizable"
+    assert report["reason"] == reason
 
 
 def test_verify_recovers_order_after_permutation(kraw):

@@ -26,6 +26,7 @@ from leonard_kit.linalg import (
     simple_rational_eigen,
     subspace_intersection,
     subspace_sum,
+    support_in_basis,
 )
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -547,6 +548,56 @@ def test_one_solve_rejects_mismatched_operators():
         represent_all_in_basis([ExactMatrix.identity(2), ExactMatrix([[1, 2]])], basis)
     with pytest.raises(AmbientMismatch):
         represent_all_in_basis([ExactMatrix.identity(2), ExactMatrix.identity(3)], basis)
+
+
+def _nonzero_positions(m):
+    return {(i, j) for i in range(m.rows) for j in range(m.cols) if m[i, j] != 0}
+
+
+def _random_operator(rng, n, tridiagonal):
+    return ExactMatrix(
+        [
+            [
+                Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                if not tridiagonal or abs(i - j) <= 1
+                else 0
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_support_in_basis_is_the_nonzero_pattern_of_the_change_of_basis(n):
+    """On seeded random integer bases, the positions read off the integer
+    solve are those of the nonzero entries of represent_all_in_basis: for
+    dense and tridiagonal operators, and for operators S T S^-1 whose
+    representation T is tridiagonal with scattered zeros."""
+    rng = random.Random(n)
+    found = 0
+    while found < 6:
+        s = ExactMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if s.det() == 0:
+            continue
+        found += 1
+        basis = [s.column(j) for j in range(n)]
+        t = _random_operator(rng, n, True)
+        ms = [_random_operator(rng, n, False), _random_operator(rng, n, True)]
+        ms += conjugate_all((t,), s)
+        reps = represent_all_in_basis(ms, basis)
+        assert reps[2] == t
+        assert support_in_basis(ms, basis) == tuple(_nonzero_positions(r) for r in reps)
+
+
+def test_support_in_basis_rejects_what_the_change_of_basis_rejects():
+    for reader in (represent_all_in_basis, support_in_basis):
+        with pytest.raises(SingularBasis) as singular:
+            reader([ExactMatrix.identity(2)], [(1, 1), (2, 2)])
+        assert str(singular.value) == "matrix is singular"
+        with pytest.raises(AmbientMismatch) as mismatch:
+            reader([ExactMatrix.identity(2), ExactMatrix.identity(3)], [(1, 0), (0, 1)])
+        assert str(mismatch.value) == "basis size differs from the matrix dimension"
 
 
 # --- the Bareiss core against the step that rescales every row -----------

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leonard_kit import leonard, linalg, split
+from leonard_kit.adjacency import are_adjacent
 from leonard_kit.errors import NotADecomposition, NotArithmetic
 from leonard_kit.flags import decomposition_from_flags, induced_flag, standard_flag_set
 from leonard_kit.leonard import Decomposition, Kind, standard_decompositions, verify_leonard
@@ -50,6 +52,62 @@ def test_shape_invariant_under_diagonal_conjugation():
     for _ in range(10):
         scale = ExactMatrix.diagonal([Fraction(rng.randint(1, 9)) for _ in range(3)])
         assert bidiagonal_shape(scale.inverse() * m * scale) is bidiagonal_shape(m)
+
+
+def _band_scan_shape(m):
+    """Reference: scan every entry off the two bands of diagonals j - i."""
+
+    def zero_off(band):
+        n = m.rows
+        return all(m[i, j] == 0 for i in range(n) for j in range(n) if j - i not in band)
+
+    if zero_off((0, -1)):
+        return BidiagonalShape.BOTH if zero_off((0, 1)) else BidiagonalShape.LOWER
+    return BidiagonalShape.UPPER if zero_off((0, 1)) else BidiagonalShape.NEITHER
+
+
+def test_shape_matches_the_band_scan():
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = ExactMatrix(
+            [
+                [
+                    Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    if rng.random() < (0.9 if i == j else 0.5 if abs(i - j) == 1 else 0.1)
+                    else 0
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        )
+        shape = bidiagonal_shape(m)
+        assert shape is _band_scan_shape(m)
+        seen.add(shape)
+    assert seen == set(BidiagonalShape)
+
+
+def test_verdicts_build_no_change_of_basis(kraw, standard_triple, monkeypatch):
+    """Recognition, split and adjacency read zero patterns off the integer
+    solve, so they need neither fraction-building change of basis."""
+    kraw_pair, member, other = kraw(3, Fraction(1, 3)), *standard_triple(3)[1:]
+
+    def refuse(*args):
+        raise AssertionError("a verdict built S^-1 M S in fractions")
+
+    for module in (linalg, leonard, split):
+        for name in ("represent_in_basis", "represent_all_in_basis"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for pair in (kraw_pair, member):
+        assert verify_leonard(pair.a, pair.a_star) == pair
+        for dec in standard_decompositions(pair, Kind.A):
+            assert split_type(dec, pair) is SplitType.NONE
+    dec = standard_decompositions(other, Kind.A)[0]
+    assert split_type(dec, member) in (SplitType.LU, SplitType.UL)
+    assert not are_adjacent(kraw_pair, kraw_pair)
+    assert are_adjacent(member, other)
 
 
 def test_own_standard_decomposition_is_not_split(kraw):
