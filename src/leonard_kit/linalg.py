@@ -32,11 +32,15 @@ until a result is turned back into fractions.
   is one shared solve for all its operators (``_solve_in_basis``); split
   and recognition read only its nonzero positions (``support_in_basis``).
 
-Rational eigenvalues are found without factoring any number: the
-integer roots of a monic rescaling of the squarefree characteristic
-polynomial are Hensel-lifted from a small prime and confirmed by exact
-evaluation, so their cost follows the degree and the bit-size of the
-entries, not the prime factors of the entries.
+Rational eigenvalues are found without factoring any number: the roots
+of the primitive integer characteristic polynomial are Hensel-lifted on
+that polynomial from a small prime and confirmed by exact evaluation,
+so their cost follows the degree and the bit-size of the entries, not
+the prime factors of the entries.  Only a polynomial that is not
+squarefree modulo 2^61 - 1, as a repeated eigenvalue makes it, is first
+divided by its gcd with its derivative.  That remainder sequence over Z
+is where the cost grows fastest: it is quadratic in the degree, and its
+coefficients grow to subresultant size.
 """
 
 from __future__ import annotations
@@ -674,10 +678,12 @@ def _exact_quotient(f: Sequence[int], d: Sequence[int]) -> list[int]:
     return q
 
 
-def _horner(f: Sequence[int], x: int) -> int:
-    acc = 0
+def _horner(f: Sequence[int], u: int, v: int) -> int:
+    """v^n f(u / v) for f of degree n, in integers."""
+    acc, w = 0, 1
     for c in reversed(f):
-        acc = acc * x + c
+        acc = acc * u + c * w
+        w *= v
     return acc
 
 
@@ -689,7 +695,8 @@ def _eval_mod(f: Sequence[int], x: int, m: int) -> int:
 
 
 def _squarefree_mod(f: Sequence[int], p: int) -> bool:
-    """Whether the monic integer polynomial f stays squarefree modulo p."""
+    """Whether the integer polynomial f stays squarefree modulo a prime p
+    that does not divide its leading coefficient."""
     a = [c % p for c in f]
     b = _strip([c % p for c in _derivative(f)])
     while b:
@@ -704,61 +711,52 @@ def _squarefree_mod(f: Sequence[int], p: int) -> bool:
     return len(a) == 1
 
 
-def _integer_roots(g: Sequence[int]) -> list[int] | None:
-    """The integer roots of a monic squarefree integer polynomial, or None
-    unless there are as many as its degree.
-
-    Works modulo the smallest prime p that keeps g squarefree; only the
-    finitely many primes dividing the nonzero discriminant fail, so p
-    stays small.  Distinct integer roots stay distinct and simple modulo
-    p: each is found by trying every residue, Hensel-lifted until p^k
-    exceeds twice a bound on the roots, and kept only if its symmetric
-    residue is an exact root.
-    """
-    n = len(g) - 1
-    p = next(p for p in filter(_is_prime, count(2)) if _squarefree_mod(g, p))
-    residues = [r for r in range(p) if _eval_mod(g, r, p) == 0]
-    if len(residues) < n:
-        return None
-    # Fujiwara: |y| <= 2 max_k |g[n-k]|^(1/k), here rounded up to a power of 2
-    bound = 2 << max(
-        (-(-c.bit_length() // (n - i)) for i, c in enumerate(g[:-1])), default=0
-    )
-    dg = _derivative(g)
-    roots = []
-    for r in residues:
-        m = p
-        while m <= 2 * bound:
-            m *= m
-            r = (r - _eval_mod(g, r, m) * pow(_eval_mod(dg, r, m), -1, m)) % m
-        y = r if 2 * r <= m else r - m
-        if abs(y) > bound or _horner(g, y) != 0:
-            return None
-        roots.append(y)
-    return roots
-
-
 def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
     """The distinct roots, each once, of a rational polynomial that
     splits over Q, else None.  Coefficients run from constant to
     leading, and the leading one is nonzero.
 
-    No coefficient is ever factored.  After the zero roots are stripped,
-    the squarefree part h = f / gcd(f, f') of the primitive integer
-    polynomial f is made monic by y = a x, with a the leading
-    coefficient of h; the integer roots y of the result are found by
-    Hensel lifting (``_integer_roots``), and each gives the root y / a.
+    No coefficient is ever factored, and the search runs on the
+    primitive integer polynomial f itself, with leading coefficient a.
+    f is squarefree over Q if it is so modulo 2^61 - 1 and that prime
+    does not divide a; only when this test fails (a repeated root, or
+    the prime divides a or the discriminant) is f replaced by
+    f / gcd(f, f').  Modulo the smallest prime p dividing neither a nor
+    the discriminant, distinct rational roots stay distinct and simple:
+    each is found by trying every residue and Hensel-lifted on f until
+    p^k exceeds twice a bound on y = a x, an integer because a root
+    x = u / v in lowest terms has v | a.  The symmetric residue y gives
+    x = y / a, kept only if v^n f(u / v) = 0.
     """
     f = _primitive_int_coeffs(coeffs)
-    zeros = next(i for i, c in enumerate(f) if c != 0)
-    f = f[zeros:]
-    h = _exact_quotient(f, _int_poly_gcd(f, _derivative(f)))
-    n, a = len(h) - 1, h[-1]
-    g = [c * a ** (n - 1 - i) for i, c in enumerate(h[:-1])] + [1]
-    ys = _integer_roots(g)
-    if ys is None:
+    if f[-1] % _PRIMES[0] == 0 or not _squarefree_mod(f, _PRIMES[0]):
+        f = _exact_quotient(f, _int_poly_gcd(f, _derivative(f)))
+    n, a = len(f) - 1, f[-1]
+    p = next(p for p in filter(_is_prime, count(2)) if a % p and _squarefree_mod(f, p))
+    residues = [r for r in range(p) if _eval_mod(f, r, p) == 0]
+    if len(residues) < n:
         return None
-    return ([ZERO] if zeros else []) + [Fraction(y, a) for y in ys]
+    # Fujiwara on the monic a^(n-1) f(y / a), whose y^i coefficient is f[i] a^(n-1-i):
+    # |y| <= 2 max_i |f[i] a^(n-1-i)|^(1/(n-i)), here rounded up to a power of 2
+    bits = a.bit_length()
+    bound = 2 << max(
+        (-(-(c.bit_length() + (n - 1 - i) * bits) // (n - i)) for i, c in enumerate(f[:-1]) if c),
+        default=0,
+    )
+    df = _derivative(f)
+    roots = []
+    for r in residues:
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
+        y = a * r % m
+        y = y if 2 * y <= m else y - m
+        x = Fraction(y, a)
+        if abs(y) > bound or _horner(f, x.numerator, x.denominator) != 0:
+            return None
+        roots.append(x)
+    return roots
 
 
 def simple_rational_eigen(m: ExactMatrix) -> tuple[tuple[Fraction, Subspace], ...]:

@@ -279,6 +279,17 @@ def _poly_mul(f, g):
     return out
 
 
+def _product(scale, factors, quadratic):
+    """scale times (q x - p)^k for each (q, p, k), times the quadratic's coefficients if any."""
+    coeffs = [scale]
+    for q, p, k in factors:
+        for _ in range(k):
+            coeffs = _poly_mul(coeffs, [Fraction(-p), Fraction(q)])
+    if quadratic is not None:
+        coeffs = _poly_mul(coeffs, [Fraction(c) for c in quadratic])
+    return coeffs
+
+
 linear_factors = st.lists(
     st.tuples(st.integers(1, 6), st.integers(-12, 12), st.integers(1, 3)),
     max_size=5,
@@ -294,18 +305,94 @@ linear_factors = st.lists(
 def test_rational_roots_match_trial_division(factors, quadratic, scale):
     """Products of (q x - p)^k, times an optional quadratic (3x^2 - 2 and
     x^2 + x + 1 are irreducible, x^2 + x - 6 splits) and a scalar."""
-    coeffs = [scale]
-    for q, p, k in factors:
-        for _ in range(k):
-            coeffs = _poly_mul(coeffs, [Fraction(-p), Fraction(q)])
-    if quadratic is not None:
-        coeffs = _poly_mul(coeffs, [Fraction(c) for c in quadratic])
+    coeffs = _product(scale, factors, quadratic)
     expected = _reference_rational_roots(coeffs)
     found = _rational_roots(coeffs)
     if expected is None:
         assert found is None
     else:
         assert sorted(found) == sorted(set(expected))
+
+
+big_roots = st.tuples(
+    st.integers(1, 2**64),
+    st.one_of(st.just(0), st.integers(-(2**64), 2**64)),
+    st.integers(1, 3),
+)
+
+
+@given(
+    st.lists(big_roots, max_size=4),
+    st.sampled_from([None, (-2, 0, 3), (1, 1, 1)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+)
+@example([(1, 0, 1), (2**64, 2**64 - 1, 1)], None, Fraction(1))  # a simple zero root
+@example([(3, 0, 2), (1, -(2**64), 3)], (1, 1, 1), Fraction(-2))  # a repeated one
+@settings(max_examples=100, deadline=None)
+def test_rational_roots_of_products_with_large_roots(factors, quadratic, scale):
+    """Products of (q x - p)^k with p and q up to 2^64, which trial
+    division cannot factor, times an optional irreducible quadratic and a
+    scalar: the roots are the constructed p / q, or None."""
+    found = _rational_roots(_product(scale, factors, quadratic))
+    if quadratic is None:
+        assert sorted(found) == sorted({Fraction(p, q) for q, p, _ in factors})
+    else:
+        assert found is None
+
+
+@pytest.mark.parametrize(
+    "coeffs, roots",
+    [
+        # (x - 1)(x - 2^61): 2^61 - 1 divides the discriminant
+        ([2**61, -(2**61) - 1, 1], [Fraction(1), Fraction(2**61)]),
+        # ((2^61 - 1) x - 1)(x - 2): 2^61 - 1 divides the leading coefficient
+        ([2, -2 * _PRIMES[0] - 1, _PRIMES[0]], [Fraction(1, _PRIMES[0]), Fraction(2)]),
+    ],
+)
+def test_rational_roots_take_the_gcd_when_the_large_prime_fails(coeffs, roots, monkeypatch):
+    calls = []
+    gcd_over_z = linalg._int_poly_gcd
+
+    def spy(a, b):
+        calls.append(a)
+        return gcd_over_z(a, b)
+
+    monkeypatch.setattr(linalg, "_int_poly_gcd", spy)
+    assert sorted(_rational_roots([Fraction(c) for c in coeffs])) == roots
+    assert calls == [coeffs]
+
+
+@pytest.fixture
+def no_gcd(monkeypatch):
+    """Simple spectra, large or with wide denominators, are found by
+    lifting on the characteristic polynomial itself."""
+
+    def refuse(*args):
+        raise AssertionError("the remainder sequence ran on a squarefree polynomial")
+
+    monkeypatch.setattr(linalg, "_int_poly_gcd", refuse)
+
+
+def test_scaled_krawtchouk_takes_no_gcd(kraw, no_gcd):
+    k, c = kraw(8, Fraction(1, 3)), Fraction(2**31 + 12345, 2**31)
+    eye = ExactMatrix.identity(9)
+    pair = verify_leonard(c * k.a + c * eye, c * k.a_star + c * eye)
+    for scaled, seqs in (
+        (pair.eigenvalue_sequences, k.eigenvalue_sequences),
+        (pair.dual_eigenvalue_sequences, k.dual_eigenvalue_sequences),
+    ):
+        assert scaled == tuple(tuple(c * (x + 1) for x in seq) for seq in seqs)
+
+
+def test_large_diagonal_takes_no_gcd(no_gcd):
+    rng = random.Random(5)
+    diagonal = [10**20 + 7 * i + rng.randint(1, 10**19) for i in range(8)]
+    a = ExactMatrix.diagonal(diagonal)
+    assert [lam for lam, _ in simple_rational_eigen(a)] == sorted(diagonal, reverse=True)
+    path = ExactMatrix([[int(abs(i - j) == 1) for j in range(8)] for i in range(8)])
+    with pytest.raises(NotSimpleRationalSpectrum) as caught:
+        verify_leonard(a, path)
+    assert str(caught.value) == "the characteristic polynomial has an irrational root"
 
 
 @pytest.mark.parametrize(
