@@ -32,15 +32,12 @@ until a result is turned back into fractions.
   is one shared solve for all its operators (``_solve_in_basis``); split
   and recognition read only its nonzero positions (``support_in_basis``).
 
-Rational eigenvalues are found without factoring any number: the roots
-of the primitive integer characteristic polynomial are Hensel-lifted on
-that polynomial from a small prime and confirmed by exact evaluation,
-so their cost follows the degree and the bit-size of the entries, not
-the prime factors of the entries.  Only a polynomial that is not
-squarefree modulo 2^61 - 1, as a repeated eigenvalue makes it, is first
-divided by its gcd with its derivative.  That remainder sequence over Z
-is where the cost grows fastest: it is quadratic in the degree, and its
-coefficients grow to subresultant size.
+Rational eigenvalues are found without factoring any number: scaled by
+a common denominator, they are the integer roots of one monic integer
+polynomial.  Its squarefree part comes from gcds modulo primes joined
+by the Chinese remainder theorem, and its roots are Hensel-lifted from
+a small prime and confirmed by exact division, so the cost follows the
+degree and the bit-size of the entries, not their prime factors.
 """
 
 from __future__ import annotations
@@ -592,6 +589,17 @@ def _charpoly_mod(b: Sequence[Sequence[int]], p: int) -> list[int]:
     return polys[n]
 
 
+def _crt(coeffs: Sequence[int], modulus: int, residues: Sequence[int], p: int) -> list[int]:
+    """What is coeffs modulo modulus and residues modulo p, in [0, modulus·p)."""
+    inv = pow(modulus, -1, p)
+    return [c + modulus * ((r - c) * inv % p) for c, r in zip(coeffs, residues)]
+
+
+def _symmetric(c: int, modulus: int) -> int:
+    """The representative in (-modulus/2, modulus/2] of c in [0, modulus)."""
+    return c - modulus if 2 * c > modulus else c
+
+
 def charpoly(m: ExactMatrix) -> tuple[Fraction, ...]:
     """Monic characteristic polynomial, coefficients from constant to leading.
 
@@ -614,24 +622,13 @@ def charpoly(m: ExactMatrix) -> tuple[Fraction, ...]:
     limit = isqrt(4 * max(comb(n, k) ** 2 * norm2**k for k in range(n + 1)))
     coeffs, modulus = [0] * (n + 1), 1
     for p in _moduli():
-        inv = pow(modulus, -1, p)
-        coeffs = [
-            c + modulus * ((r - c) * inv % p)
-            for c, r in zip(coeffs, _charpoly_mod(b, p))
-        ]
+        coeffs = _crt(coeffs, modulus, _charpoly_mod(b, p), p)
         modulus *= p
         if modulus > limit:
             break
     return tuple(
-        Fraction(c - modulus if 2 * c > modulus else c, den ** (n - k))
-        for k, c in enumerate(coeffs)
+        Fraction(_symmetric(c, modulus), den ** (n - k)) for k, c in enumerate(coeffs)
     )
-
-
-def _primitive_int_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
-    ints, _ = _scaled(coeffs)
-    g = gcd(*ints)
-    return [v // g for v in ints]
 
 
 def _strip(f: list[int]) -> list[int]:
@@ -644,46 +641,21 @@ def _derivative(f: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(f)][1:]
 
 
-def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd over Z with positive leading coefficient (primitive PRS).
-
-    Polynomials are coefficient lists from constant to leading; ``a``
-    must be nonzero.
-    """
-    b = _strip(list(b))
-    while b:
-        r = list(a)
-        while len(r) >= len(b):
-            lead, shift = r[-1], len(r) - len(b)
-            r = [b[-1] * x for x in r]
-            for i, c in enumerate(b):
-                r[i + shift] -= lead * c
-            _strip(r)
-        content = gcd(*r) or 1
-        a, b = b, [x // content for x in r]
-    content = gcd(*a)
-    if a[-1] < 0:
-        content = -content
-    return [x // content for x in a]
-
-
-def _exact_quotient(f: Sequence[int], d: Sequence[int]) -> list[int]:
-    """f / d over Z for a divisor d of f."""
+def _monic_quotient(f: Sequence[int], d: Sequence[int]) -> list[int] | None:
+    """f / d over Z for a monic d, or None when d does not divide f."""
     r = list(f)
     q = [0] * (len(f) - len(d) + 1)
     for k in range(len(q) - 1, -1, -1):
-        q[k] = r[k + len(d) - 1] // d[-1]
-        for i, c in enumerate(d):
-            r[i + k] -= q[k] * c
-    return q
+        q[k] = c = r[k + len(d) - 1]
+        for i, e in enumerate(d):
+            r[i + k] -= c * e
+    return None if any(r) else q
 
 
-def _horner(f: Sequence[int], u: int, v: int) -> int:
-    """v^n f(u / v) for f of degree n, in integers."""
-    acc, w = 0, 1
+def _horner(f: Sequence[int], x: int) -> int:
+    acc = 0
     for c in reversed(f):
-        acc = acc * u + c * w
-        w *= v
+        acc = acc * x + c
     return acc
 
 
@@ -694,11 +666,11 @@ def _eval_mod(f: Sequence[int], x: int, m: int) -> int:
     return acc
 
 
-def _squarefree_mod(f: Sequence[int], p: int) -> bool:
-    """Whether the integer polynomial f stays squarefree modulo a prime p
-    that does not divide its leading coefficient."""
+def _gcd_mod(f: Sequence[int], g: Sequence[int], p: int) -> list[int]:
+    """The monic gcd modulo the prime p of the integer polynomials f and
+    g, for a monic f."""
     a = [c % p for c in f]
-    b = _strip([c % p for c in _derivative(f)])
+    b = _strip([c % p for c in g])
     while b:
         inv = pow(b[-1], -1, p)
         r = a
@@ -708,54 +680,68 @@ def _squarefree_mod(f: Sequence[int], p: int) -> bool:
                 r[i + shift] = (r[i + shift] - lead * c) % p
             _strip(r)
         a, b = b, r
-    return len(a) == 1
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
 
-def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
-    """The distinct roots, each once, of a rational polynomial that
-    splits over Q, else None.  Coefficients run from constant to
-    leading, and the leading one is nonzero.
+def _squarefree_part(f: Sequence[int]) -> list[int]:
+    """f / gcd(f, f') for a monic integer f, with the gcd taken modulo
+    primes (Brown, J. ACM 18, 1971).
 
-    No coefficient is ever factored, and the search runs on the
-    primitive integer polynomial f itself, with leading coefficient a.
-    f is squarefree over Q if it is so modulo 2^61 - 1 and that prime
-    does not divide a; only when this test fails (a repeated root, or
-    the prime divides a or the discriminant) is f replaced by
-    f / gcd(f, f').  Modulo the smallest prime p dividing neither a nor
-    the discriminant, distinct rational roots stay distinct and simple:
-    each is found by trying every residue and Hensel-lifted on f until
-    p^k exceeds twice a bound on y = a x, an integer because a root
-    x = u / v in lowest terms has v | a.  The symmetric residue y gives
-    x = y / a, kept only if v^n f(u / v) = 0.
+    The gcd G is monic and integral (Gauss's lemma), and modulo p it
+    divides the monic gcd modulo p, which is larger only for the finitely
+    many p that divide a resultant.  So the images of least degree are
+    combined by the Chinese remainder theorem, a smaller degree starts
+    over, and the symmetric lift is accepted once it divides f and f'
+    over Z: a common divisor of degree at least deg G is G.  A squarefree
+    f stops at the first prime, where the lift is 1.
     """
-    f = _primitive_int_coeffs(coeffs)
-    if f[-1] % _PRIMES[0] == 0 or not _squarefree_mod(f, _PRIMES[0]):
-        f = _exact_quotient(f, _int_poly_gcd(f, _derivative(f)))
-    n, a = len(f) - 1, f[-1]
-    p = next(p for p in filter(_is_prime, count(2)) if a % p and _squarefree_mod(f, p))
-    residues = [r for r in range(p) if _eval_mod(f, r, p) == 0]
+    df = _derivative(f)
+    g, modulus = [0] * (len(f) + 1), 1  # longer than any image
+    for p in _moduli():
+        image = _gcd_mod(f, df, p)
+        if len(image) > len(g):
+            continue
+        if len(image) < len(g):
+            g, modulus = [0] * len(image), 1
+        g = _crt(g, modulus, image, p)
+        modulus *= p
+        lift = [_symmetric(c, modulus) for c in g]
+        quotient = _monic_quotient(f, lift)
+        if quotient is not None and _monic_quotient(df, lift) is not None:
+            return quotient
+
+
+def _integer_roots(f: Sequence[int]) -> list[int] | None:
+    """The distinct roots, each once, of a monic integer polynomial
+    (constant coefficient first) if all are integers, else None.
+
+    Modulo the smallest prime p for which the squarefree part g stays
+    squarefree, distinct roots stay distinct and simple: each is found
+    by trying every residue and Hensel-lifted on g until p^k exceeds
+    twice Fujiwara's bound, and its symmetric residue is kept only if
+    it is a root.
+    """
+    g = _squarefree_part(f)
+    n, dg = len(g) - 1, _derivative(g)
+    p = next(p for p in filter(_is_prime, count(2)) if len(_gcd_mod(g, dg, p)) == 1)
+    residues = [r for r in range(p) if _eval_mod(g, r, p) == 0]
     if len(residues) < n:
         return None
-    # Fujiwara on the monic a^(n-1) f(y / a), whose y^i coefficient is f[i] a^(n-1-i):
-    # |y| <= 2 max_i |f[i] a^(n-1-i)|^(1/(n-i)), here rounded up to a power of 2
-    bits = a.bit_length()
+    # Fujiwara: |y| <= 2 max_i |g[i]|^(1/(n-i)), here rounded up to a power of 2
     bound = 2 << max(
-        (-(-(c.bit_length() + (n - 1 - i) * bits) // (n - i)) for i, c in enumerate(f[:-1]) if c),
-        default=0,
+        (-(-c.bit_length() // (n - i)) for i, c in enumerate(g[:-1]) if c), default=0
     )
-    df = _derivative(f)
     roots = []
     for r in residues:
         m = p
         while m <= 2 * bound:
             m *= m
-            r = (r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m
-        y = a * r % m
-        y = y if 2 * y <= m else y - m
-        x = Fraction(y, a)
-        if abs(y) > bound or _horner(f, x.numerator, x.denominator) != 0:
+            r = (r - _eval_mod(g, r, m) * pow(_eval_mod(dg, r, m), -1, m)) % m
+        y = _symmetric(r, m)
+        if abs(y) > bound or _horner(g, y) != 0:
             return None
-        roots.append(x)
+        roots.append(y)
     return roots
 
 
@@ -771,11 +757,21 @@ def simple_rational_eigen(m: ExactMatrix) -> tuple[tuple[Fraction, Subspace], ..
     if not m.is_square:
         raise ValueError("eigendecomposition needs a square matrix")
     n = m.rows
-    roots = _rational_roots(charpoly(m))
-    if roots is None:
+    coeffs = charpoly(m)
+    # D^n·charpoly(y / D), with roots D·θ, is integral for D the lcm of the
+    # entries' or of the coefficients' denominators, so also for their gcd
+    den = gcd(
+        lcm(*(x.denominator for row in m.entries for x in row)),
+        lcm(*(c.denominator for c in coeffs)),
+    )
+    ys = _integer_roots(
+        [c.numerator * (den ** (n - k) // c.denominator) for k, c in enumerate(coeffs)]
+    )
+    if ys is None:
         raise NotSimpleRationalSpectrum(
             "the characteristic polynomial has an irrational root"
         )
+    roots = [Fraction(y, den) for y in ys]
     if len(roots) != n:
         raise NotSimpleRationalSpectrum(
             f"only {len(roots)} distinct rational eigenvalues for size {n}"

@@ -362,7 +362,7 @@ SELF_CHECK_FAILURES = {
         "TheoremViolation: lifted pairs must be mutually adjacent",
     ),
     "verify": (
-        (linalg, "_rational_roots", lambda coeffs: [Fraction(2), Fraction(0), Fraction(5)]),
+        (linalg, "_integer_roots", lambda f: [2, 0, 5]),
         "TheoremViolation: eigenspace of 5 has dimension 0",
     ),
     "companions": (

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +16,8 @@ from leonard_kit.linalg import (
     _is_prime,
     _moduli,
     _PRIMES,
-    _rational_roots,
+    _integer_roots,
+    _squarefree_part,
     charpoly,
     conjugate_all,
     kernel,
@@ -236,31 +237,17 @@ def _reference_divisors(n):
     return sorted(divs)
 
 
-def _reference_rational_roots(coeffs):
-    """Trial-division search over the candidates p/q with p dividing the
-    cleared constant term and q the leading one, deflating each root."""
-    work = list(coeffs)
+def _reference_integer_roots(f):
+    """Trial division of a monic integer f over the divisors of its
+    constant term, deflating each root found."""
+    work = list(f)
     roots = []
     while len(work) > 1:
-        den = lcm(*(c.denominator for c in work))
-        ints = [int(c * den) for c in work]
-        content = gcd(*ints)
-        ints = [v // content for v in ints]
-        if ints[0] == 0:
-            root = Fraction(0)
-        else:
-            candidates = (
-                s * Fraction(p, q)
-                for p in _reference_divisors(ints[0])
-                for q in _reference_divisors(ints[-1])
-                for s in (1, -1)
-            )
-            root = next(
-                (x for x in candidates if sum(c * x**i for i, c in enumerate(ints)) == 0),
-                None,
-            )
-            if root is None:
-                return None
+        divisors = _reference_divisors(work[0]) if work[0] else [0]
+        candidates = [s * x for x in divisors for s in (1, -1)]
+        root = next((x for x in candidates if sum(c * x**i for i, c in enumerate(work)) == 0), None)
+        if root is None:
+            return None
         roots.append(root)
         quotient, acc = [], work[-1]
         for c in reversed(work[:-1]):
@@ -271,109 +258,162 @@ def _reference_rational_roots(coeffs):
     return roots
 
 
+def _reference_gcd(a, b):
+    """Primitive gcd over Z with positive leading coefficient, by the
+    primitive remainder sequence.  Coefficients run from constant to
+    leading, and a is nonzero."""
+
+    def strip(f):
+        while f and f[-1] == 0:
+            f.pop()
+        return f
+
+    b = strip(list(b))
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            lead, shift = r[-1], len(r) - len(b)
+            r = [b[-1] * x for x in r]
+            for i, c in enumerate(b):
+                r[i + shift] -= lead * c
+            strip(r)
+        content = gcd(*r) or 1
+        a, b = b, [x // content for x in r]
+    content = gcd(*a)
+    if a[-1] < 0:
+        content = -content
+    return [x // content for x in a]
+
+
+def _reference_squarefree_part(f):
+    """f / gcd(f, f') for a monic integer f, with the gcd from the
+    remainder sequence: it divides f, so it is monic and the long
+    division is exact."""
+    d = _reference_gcd(f, [i * c for i, c in enumerate(f)][1:])
+    r, q = list(f), [0] * (len(f) - len(d) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = r[k + len(d) - 1]
+        for i, c in enumerate(d):
+            r[i + k] -= q[k] * c
+    assert d[-1] == 1 and not any(r)
+    return q
+
+
 def _poly_mul(f, g):
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         for j, b in enumerate(g):
             out[i + j] += a * b
     return out
 
 
-def _product(scale, factors, quadratic):
-    """scale times (q x - p)^k for each (q, p, k), times the quadratic's coefficients if any."""
-    coeffs = [scale]
-    for q, p, k in factors:
+def _product(factors, quadratic):
+    """(x - r)^k for each (r, k), times the quadratic's coefficients if any."""
+    f = [1]
+    for r, k in factors:
         for _ in range(k):
-            coeffs = _poly_mul(coeffs, [Fraction(-p), Fraction(q)])
+            f = _poly_mul(f, [-r, 1])
     if quadratic is not None:
-        coeffs = _poly_mul(coeffs, [Fraction(c) for c in quadratic])
-    return coeffs
-
-
-linear_factors = st.lists(
-    st.tuples(st.integers(1, 6), st.integers(-12, 12), st.integers(1, 3)),
-    max_size=5,
-)
+        f = _poly_mul(f, list(quadratic))
+    return f
 
 
 @given(
-    linear_factors,
-    st.sampled_from([None, (-2, 0, 3), (1, 1, 1), (-6, 1, 1)]),
-    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+    st.lists(st.tuples(st.integers(-12, 12), st.integers(1, 3)), max_size=5),
+    st.sampled_from([None, (-2, 0, 1), (1, 1, 1), (-6, 1, 1)]),
 )
 @settings(max_examples=150, deadline=None)
-def test_rational_roots_match_trial_division(factors, quadratic, scale):
-    """Products of (q x - p)^k, times an optional quadratic (3x^2 - 2 and
-    x^2 + x + 1 are irreducible, x^2 + x - 6 splits) and a scalar."""
-    coeffs = _product(scale, factors, quadratic)
-    expected = _reference_rational_roots(coeffs)
-    found = _rational_roots(coeffs)
+def test_rational_roots_match_trial_division(factors, quadratic):
+    """Products of (x - r)^k, times an optional quadratic (x^2 - 2 and
+    x^2 + x + 1 are irreducible, x^2 + x - 6 splits)."""
+    f = _product(factors, quadratic)
+    expected = _reference_integer_roots(f)
+    found = _integer_roots(f)
     if expected is None:
         assert found is None
     else:
         assert sorted(found) == sorted(set(expected))
 
 
-big_roots = st.tuples(
-    st.integers(1, 2**64),
-    st.one_of(st.just(0), st.integers(-(2**64), 2**64)),
-    st.integers(1, 3),
+@given(
+    st.lists(st.tuples(st.integers(-(2**64), 2**64), st.integers(1, 3)), max_size=4),
+    st.sampled_from([None, (-2, 0, 1), (1, 1, 1)]),
 )
+@example([(0, 1), (2**64 - 1, 1)], None)  # a simple zero root
+@example([(0, 2), (-(2**64), 3)], (1, 1, 1))  # a repeated one
+@settings(max_examples=100, deadline=None)
+def test_rational_roots_of_products_with_large_roots(factors, quadratic):
+    """Products of (x - r)^k with |r| up to 2^64, which trial division
+    cannot factor, times an optional irreducible quadratic: the roots
+    are the constructed r, or None."""
+    found = _integer_roots(_product(factors, quadratic))
+    if quadratic is None:
+        assert sorted(found) == sorted({r for r, _ in factors})
+    else:
+        assert found is None
 
 
 @given(
-    st.lists(big_roots, max_size=4),
-    st.sampled_from([None, (-2, 0, 3), (1, 1, 1)]),
-    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+    st.lists(st.tuples(st.integers(-(2**70), 2**70), st.integers(1, 3)), max_size=4),
+    st.sampled_from([None, (-2, 0, 1), (1, 1, 1)]),
 )
-@example([(1, 0, 1), (2**64, 2**64 - 1, 1)], None, Fraction(1))  # a simple zero root
-@example([(3, 0, 2), (1, -(2**64), 3)], (1, 1, 1), Fraction(-2))  # a repeated one
-@settings(max_examples=100, deadline=None)
-def test_rational_roots_of_products_with_large_roots(factors, quadratic, scale):
-    """Products of (q x - p)^k with p and q up to 2^64, which trial
-    division cannot factor, times an optional irreducible quadratic and a
-    scalar: the roots are the constructed p / q, or None."""
-    found = _rational_roots(_product(scale, factors, quadratic))
-    if quadratic is None:
-        assert sorted(found) == sorted({Fraction(p, q) for q, p, _ in factors})
-    else:
-        assert found is None
+@example([(5, 2), (5 + _PRIMES[0], 2)], None)  # roots that meet modulo 2^61 - 1
+@example([(-(2**70), 3), (2**70, 3), (0, 2)], (1, 1, 1))
+@settings(max_examples=150, deadline=None)
+def test_squarefree_part_matches_the_remainder_sequence(factors, quadratic):
+    f = _product(factors, quadratic)
+    assert _squarefree_part(f) == _reference_squarefree_part(f)
+
+
+@pytest.fixture
+def squarefree_primes(monkeypatch):
+    """For each ``_squarefree_part`` call, the primes it takes a gcd modulo."""
+    calls = []
+    squarefree_part, gcd_mod = linalg._squarefree_part, linalg._gcd_mod
+
+    def part(f):
+        calls.append([])
+        return squarefree_part(f)
+
+    def gcd_mod_spy(f, g, p):
+        if p in _PRIMES:  # the root search takes its own gcds modulo small primes
+            calls[-1].append(p)
+        return gcd_mod(f, g, p)
+
+    monkeypatch.setattr(linalg, "_squarefree_part", part)
+    monkeypatch.setattr(linalg, "_gcd_mod", gcd_mod_spy)
+    return calls
 
 
 @pytest.mark.parametrize(
     "coeffs, roots",
     [
         # (x - 1)(x - 2^61): 2^61 - 1 divides the discriminant
-        ([2**61, -(2**61) - 1, 1], [Fraction(1), Fraction(2**61)]),
-        # ((2^61 - 1) x - 1)(x - 2): 2^61 - 1 divides the leading coefficient
-        ([2, -2 * _PRIMES[0] - 1, _PRIMES[0]], [Fraction(1, _PRIMES[0]), Fraction(2)]),
+        ([2**61, -(2**61) - 1, 1], [1, 2**61]),
     ],
 )
-def test_rational_roots_take_the_gcd_when_the_large_prime_fails(coeffs, roots, monkeypatch):
-    calls = []
-    gcd_over_z = linalg._int_poly_gcd
-
-    def spy(a, b):
-        calls.append(a)
-        return gcd_over_z(a, b)
-
-    monkeypatch.setattr(linalg, "_int_poly_gcd", spy)
-    assert sorted(_rational_roots([Fraction(c) for c in coeffs])) == roots
-    assert calls == [coeffs]
+def test_rational_roots_take_the_gcd_when_the_large_prime_fails(coeffs, roots, squarefree_primes):
+    """Modulo 2^61 - 1 the gcd has degree 1, and x - 1 divides f but not
+    f', so the squarefree part takes the next prime, where the gcd is 1."""
+    assert sorted(_integer_roots(coeffs)) == roots
+    assert squarefree_primes == [list(_PRIMES[:2])]
 
 
-@pytest.fixture
-def no_gcd(monkeypatch):
-    """Simple spectra, large or with wide denominators, are found by
-    lifting on the characteristic polynomial itself."""
+@pytest.mark.parametrize("r", [0, 7, -(2**59), 2**59 - 1])
+def test_squarefree_part_restarts_past_unlucky_primes(r, squarefree_primes):
+    """(x - r)^2 (x - s) with s = r + p_0 p_1: modulo the first two primes
+    the roots meet, so the gcd has degree 2 there; the third prime gives
+    degree 1 and starts the combination over."""
+    s = r + _PRIMES[0] * _PRIMES[1]
+    f = _product([(r, 2), (s, 1)], None)
+    expected = _product([(r, 1), (s, 1)], None)
+    assert linalg._squarefree_part(f) == expected == _reference_squarefree_part(f)
+    assert squarefree_primes == [list(_PRIMES[:3])]
 
-    def refuse(*args):
-        raise AssertionError("the remainder sequence ran on a squarefree polynomial")
 
-    monkeypatch.setattr(linalg, "_int_poly_gcd", refuse)
-
-
-def test_scaled_krawtchouk_takes_no_gcd(kraw, no_gcd):
+def test_scaled_krawtchouk_takes_no_gcd(kraw, squarefree_primes):
+    """A simple spectrum with wide denominators is squarefree at the
+    first prime."""
     k, c = kraw(8, Fraction(1, 3)), Fraction(2**31 + 12345, 2**31)
     eye = ExactMatrix.identity(9)
     pair = verify_leonard(c * k.a + c * eye, c * k.a_star + c * eye)
@@ -382,9 +422,27 @@ def test_scaled_krawtchouk_takes_no_gcd(kraw, no_gcd):
         (pair.dual_eigenvalue_sequences, k.dual_eigenvalue_sequences),
     ):
         assert scaled == tuple(tuple(c * (x + 1) for x in seq) for seq in seqs)
+    assert squarefree_primes and all(primes == [_PRIMES[0]] for primes in squarefree_primes)
 
 
-def test_large_diagonal_takes_no_gcd(no_gcd):
+def test_scaled_krawtchouk_lifts_to_short_moduli(kraw, monkeypatch):
+    """The roots are lifted on the monic polynomial of 2^31·A, so the
+    moduli follow the roots' size, not the size of 2^(31·9)."""
+    moduli = []
+    eval_mod = linalg._eval_mod
+
+    def spy(f, x, m):
+        moduli.append(m)
+        return eval_mod(f, x, m)
+
+    monkeypatch.setattr(linalg, "_eval_mod", spy)
+    k, c = kraw(8, Fraction(1, 3)), Fraction(2**31 + 12345, 2**31)
+    eye = ExactMatrix.identity(9)
+    verify_leonard(c * k.a + c * eye, c * k.a_star + c * eye)
+    assert moduli and max(moduli).bit_length() <= 128
+
+
+def test_large_diagonal_takes_no_gcd(squarefree_primes):
     rng = random.Random(5)
     diagonal = [10**20 + 7 * i + rng.randint(1, 10**19) for i in range(8)]
     a = ExactMatrix.diagonal(diagonal)
@@ -393,6 +451,7 @@ def test_large_diagonal_takes_no_gcd(no_gcd):
     with pytest.raises(NotSimpleRationalSpectrum) as caught:
         verify_leonard(a, path)
     assert str(caught.value) == "the characteristic polynomial has an irrational root"
+    assert squarefree_primes and all(primes == [_PRIMES[0]] for primes in squarefree_primes)
 
 
 @pytest.mark.parametrize(
@@ -1063,7 +1122,9 @@ def test_eigenlines_match_the_kernel_route(kraw, standard_triple):
     for m in matrices:
         n = m.rows
         eigen = simple_rational_eigen(m)
-        assert sorted(lam for lam, _ in eigen) == sorted(_rational_roots(charpoly(m)))
+        coeffs = charpoly(m)
+        assert len({lam for lam, _ in eigen}) == n
+        assert all(sum(c * lam**k for k, c in enumerate(coeffs)) == 0 for lam, _ in eigen)
         shift = lambda lam: m - ExactMatrix.diagonal([lam] * n)
         assert eigen == tuple((lam, Subspace.span(n, kernel(shift(lam)))) for lam, _ in eigen)
         for _, line in eigen:
