@@ -32,12 +32,16 @@ until a result is turned back into fractions.
   is one shared solve for all its operators (``_solve_in_basis``); split
   and recognition read only its nonzero positions (``support_in_basis``).
 
-Rational eigenvalues are found without factoring any number: scaled by
-a common denominator, they are the integer roots of one monic integer
-polynomial.  Its squarefree part comes from gcds modulo primes joined
-by the Chinese remainder theorem, and its roots are Hensel-lifted from
-a small prime and confirmed by exact division, so the cost follows the
-degree and the bit-size of the entries, not their prime factors.
+Rational eigenvalues are found without factoring any number.  With
+B = D·M integral, t = B[0][0] and g the content of B - t·I, M is
+decomposed as the primitive integer matrix N = (B - t·I)/g: N has M's
+eigenlines, and each eigenvalue y of N gives θ = (g·y + t)/D in the same
+order, so c·M + c'·I is decomposed at the cost of M.  The y are the
+integer roots of N's monic characteristic polynomial.  Its squarefree
+part comes from gcds modulo primes joined by the Chinese remainder
+theorem, and its roots are Hensel-lifted from a small prime and
+confirmed exactly, so the cost follows the degree and the bit-size of
+N's entries, not their prime factors.
 """
 
 from __future__ import annotations
@@ -757,36 +761,29 @@ def simple_rational_eigen(m: ExactMatrix) -> tuple[tuple[Fraction, Subspace], ..
     if not m.is_square:
         raise ValueError("eigendecomposition needs a square matrix")
     n = m.rows
-    coeffs = charpoly(m)
-    # D^n·charpoly(y / D), with roots D·θ, is integral for D the lcm of the
-    # entries' or of the coefficients' denominators, so also for their gcd
-    den = gcd(
-        lcm(*(x.denominator for row in m.entries for x in row)),
-        lcm(*(c.denominator for c in coeffs)),
-    )
-    ys = _integer_roots(
-        [c.numerator * (den ** (n - k) // c.denominator) for k, c in enumerate(coeffs)]
-    )
+    # N = (D·M - t·I) / g is primitive and integral with M's eigenlines,
+    # and its eigenvalue y is M's θ = (g·y + t) / D, in the same order
+    b, den = _integer_matrix(m)
+    t = b[0][0]
+    for i in range(n):
+        b[i][i] -= t
+    g = gcd(*(x for row in b for x in row)) or 1
+    b = [[x // g for x in row] for row in b]
+    ys = _integer_roots([c.numerator for c in charpoly(ExactMatrix(b))])
     if ys is None:
         raise NotSimpleRationalSpectrum(
             "the characteristic polynomial has an irrational root"
         )
-    roots = [Fraction(y, den) for y in ys]
-    if len(roots) != n:
+    if len(ys) != n:
         raise NotSimpleRationalSpectrum(
-            f"only {len(roots)} distinct rational eigenvalues for size {n}"
+            f"only {len(ys)} distinct rational eigenvalues for size {n}"
         )
-    scaled = [_scaled(row) for row in m.entries]
     result = []
-    for lam in sorted(roots, reverse=True):
-        # row i of m - lam*I times lcm(q, s_i), for lam = p/q and row i = b_i/s_i
-        p, q = lam.numerator, lam.denominator
-        rows = []
-        for i, (b, s) in enumerate(scaled):
-            big = lcm(q, s)
-            row = [x * (big // s) for x in b]
-            row[i] -= p * (big // q)
-            rows.append(row)
+    for y in sorted(ys, reverse=True):
+        lam = Fraction(g * y + t, den)
+        rows = [list(row) for row in b]
+        for i, row in enumerate(rows):
+            row[i] -= y
         _, _, free = _echelon(rows)
         if len(free) != 1:  # n distinct roots in dimension n make every eigenspace a line
             raise TheoremViolation(f"eigenspace of {lam} has dimension {len(free)}")

@@ -362,8 +362,9 @@ SELF_CHECK_FAILURES = {
         "TheoremViolation: lifted pairs must be mutually adjacent",
     ),
     "verify": (
+        # roots of N = (A - 2I)/2 for A = diag(2, 0, -2), so 5 stands for 2·5 + 2
         (linalg, "_integer_roots", lambda f: [2, 0, 5]),
-        "TheoremViolation: eigenspace of 5 has dimension 0",
+        "TheoremViolation: eigenspace of 12 has dimension 0",
     ),
     "companions": (
         (sl2, "_krawtchouk_matrices", _unreachable_normal_form),

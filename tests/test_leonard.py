@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leonard_kit import jsonio
 from leonard_kit.cli import main
@@ -21,6 +23,7 @@ from leonard_kit.leonard import (
     verify_leonard,
 )
 from leonard_kit.linalg import ExactMatrix, Subspace, charpoly, subspace_intersection
+from leonard_kit.sl2 import KrawtchoukParameters, krawtchouk_pair
 
 
 def test_verify_krawtchouk_d1():
@@ -87,6 +90,35 @@ def test_dense_conjugated_krawtchouk_d24(kraw):
     pair = verify_leonard(a, t * base.a_star * t_inv)
     assert pair.eigenvalue_sequences[0] == theta
     assert pair.dual_eigenvalue_sequences[0] == theta
+
+
+wide_rationals = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64))
+
+
+@given(
+    d=st.integers(1, 5),
+    p=st.sampled_from((Fraction(1, 3), Fraction(1, 2), Fraction(2, 5), Fraction(-1, 2))),
+    xi=wide_rationals.filter(bool),
+    zeta=wide_rationals,
+    xi_star=wide_rationals.filter(bool),
+    zeta_star=wide_rationals,
+)
+@settings(max_examples=40, deadline=None)
+def test_affine_images_keep_the_decompositions(d, p, xi, zeta, xi_star, zeta_star):
+    """(ξA + ζI, ξ*A* + ζ*I) is a Leonard pair with the same standard
+    decompositions, and θ_i becomes ξθ_i + ζ (Terwilliger 2001)."""
+    pair = krawtchouk_pair(KrawtchoukParameters(d, p))
+    eye = ExactMatrix.identity(d + 1)
+    image = verify_leonard(xi * pair.a + zeta * eye, xi_star * pair.a_star + zeta_star * eye)
+    for kind in Kind:
+        assert set(standard_decompositions(image, kind)) == set(
+            standard_decompositions(pair, kind)
+        )
+    for seqs, mapped, x, z in (
+        (pair.eigenvalue_sequences, image.eigenvalue_sequences, xi, zeta),
+        (pair.dual_eigenvalue_sequences, image.dual_eigenvalue_sequences, xi_star, zeta_star),
+    ):
+        assert set(mapped) == {tuple(x * t + z for t in seq) for seq in seqs}
 
 
 def test_verify_rejects_wide_irrational_block():

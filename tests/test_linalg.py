@@ -426,8 +426,9 @@ def test_scaled_krawtchouk_takes_no_gcd(kraw, squarefree_primes):
 
 
 def test_scaled_krawtchouk_lifts_to_short_moduli(kraw, monkeypatch):
-    """The roots are lifted on the monic polynomial of 2^31·A, so the
-    moduli follow the roots' size, not the size of 2^(31·9)."""
+    """The roots are lifted on the monic polynomial of the primitive
+    integer matrix N = (D·M - t·I)/g, so the moduli follow the roots'
+    size, not the size of 2^(31·9)."""
     moduli = []
     eval_mod = linalg._eval_mod
 
@@ -440,6 +441,36 @@ def test_scaled_krawtchouk_lifts_to_short_moduli(kraw, monkeypatch):
     eye = ExactMatrix.identity(9)
     verify_leonard(c * k.a + c * eye, c * k.a_star + c * eye)
     assert moduli and max(moduli).bit_length() <= 128
+
+
+def test_affine_image_is_decomposed_at_the_size_of_the_pair(kraw, monkeypatch):
+    """c·A + c·I with a 500-bit c is decomposed as the primitive integer
+    matrix (D·M - t·I)/g, which is the same for every c: neither the
+    polynomial nor the matrix it comes from carries c."""
+    coefficients, entries = [], []
+    integer_roots, char = linalg._integer_roots, linalg.charpoly
+
+    def roots_spy(f):
+        coefficients.extend(f)
+        return integer_roots(f)
+
+    def charpoly_spy(m):
+        entries.extend(x for row in m.entries for x in row)
+        return char(m)
+
+    monkeypatch.setattr(linalg, "_integer_roots", roots_spy)
+    monkeypatch.setattr(linalg, "charpoly", charpoly_spy)
+    rng = random.Random(7)
+    c = Fraction(rng.getrandbits(500) | 1 << 499, rng.getrandbits(500) | 1 << 499)
+    k, eye = kraw(8, Fraction(1, 3)), ExactMatrix.identity(9)
+    pair = verify_leonard(c * k.a + c * eye, c * k.a_star + c * eye)
+    for scaled, seqs in (
+        (pair.eigenvalue_sequences, k.eigenvalue_sequences),
+        (pair.dual_eigenvalue_sequences, k.dual_eigenvalue_sequences),
+    ):
+        assert scaled == tuple(tuple(c * x + c for x in seq) for seq in seqs)
+    assert coefficients and max(abs(x) for x in coefficients) < 2**64
+    assert entries and max(max(abs(x.numerator), x.denominator) for x in entries) < 2**16
 
 
 def test_large_diagonal_takes_no_gcd(squarefree_primes):
@@ -461,6 +492,10 @@ def test_large_diagonal_takes_no_gcd(squarefree_primes):
         (ExactMatrix.diagonal([1, 1, 2]), "only 2 distinct rational eigenvalues for size 3"),
         (ExactMatrix.diagonal([0, 0, 1]), "only 2 distinct rational eigenvalues for size 3"),
         (ExactMatrix([[0, 2], [1, 0]]), "the characteristic polynomial has an irrational root"),
+        (
+            ExactMatrix.diagonal([Fraction(-7, 2)] * 3),
+            "only 1 distinct rational eigenvalues for size 3",
+        ),
     ],
 )
 def test_spectrum_rejections_name_the_distinct_roots(m, message):
@@ -1101,9 +1136,13 @@ def _eigen_pairs(kraw, standard_triple):
 def _eigen_matrices():
     """Simple rational spectra with eigenvalues p/q, q > 1, conjugated by
     integer T, and by diagonals whose entries give the rows very different
-    denominators."""
+    denominators; also a negative 1 x 1 and a rational diagonal whose
+    first entry is neither the largest nor the smallest."""
     rng = random.Random(1212)
-    out = []
+    out = [
+        ExactMatrix([[Fraction(-7, 3)]]),
+        ExactMatrix.diagonal([Fraction(1, 2), Fraction(5, 3), Fraction(-2, 7)]),
+    ]
     for n in range(1, 6):
         # k/q with q prime and k % q != 0: distinct, and none an integer
         values = rng.sample(
