@@ -114,7 +114,7 @@ def _path_order(support: set[tuple[int, int]], n: int) -> list[int]:
     positions end to end; fail unless it is a path with both sides nonzero."""
     if n == 1:
         return [0]
-    edges = {(min(i, j), max(i, j)) for i, j in support if i != j}
+    edges = {(min(i, j), max(i, j)) for i, j in support}
     if len(edges) != n - 1:
         raise NotTridiagonalizable(
             f"support graph has {len(edges)} edges where a path on {n} vertices needs {n - 1}"
@@ -141,7 +141,7 @@ def _standard_side(
 ) -> tuple[tuple[Decomposition, ...], tuple[tuple[Fraction, ...], ...]]:
     eigen = simple_rational_eigen(diag_op)
     reps = [space.representative() for _, space in eigen]
-    order = _path_order(*support_in_basis((tri_op,), reps), tri_op.rows)
+    order = _path_order(support_in_basis(tri_op, reps), tri_op.rows)
     values = tuple(eigen[k][0] for k in order)
     spaces = tuple(eigen[k][1] for k in order)
     if len(order) >= 2 and values[0] < values[-1]:

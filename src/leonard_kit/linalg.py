@@ -29,19 +29,21 @@ until a result is turned back into fractions.
   solutions.  Each eigenline is one elimination of the shifted rows,
   and U ∩ W one of W's equations in the coefficients of U.  Every
   change of basis S^{-1} M S and conjugation S M S^{-1} in the package
-  is one shared solve for all its operators (``_solve_in_basis``); split
-  and recognition read only its nonzero positions (``support_in_basis``).
+  is one shared solve for all its operators (``_solve_in_basis``), whose
+  nonzero off-diagonal positions recognition reads (``support_in_basis``);
+  split verdicts test span membership instead (``bidiagonal_in_basis``).
 
 Rational eigenvalues are found without factoring any number.  With
 B = D·M integral, t = B[0][0] and g the content of B - t·I, M is
 decomposed as the primitive integer matrix N = (B - t·I)/g: N has M's
 eigenlines, and each eigenvalue y of N gives θ = (g·y + t)/D in the same
-order, so c·M + c'·I is decomposed at the cost of M.  The y are the
-integer roots of N's monic characteristic polynomial.  Its squarefree
-part comes from gcds modulo primes joined by the Chinese remainder
-theorem, and its roots are Hensel-lifted from a small prime and
-confirmed exactly, so the cost follows the degree and the bit-size of
-N's entries, not their prime factors.
+order, so c·M + c'·I is decomposed at the cost of M, and its support
+in a basis is read off N too.  The y are the integer roots of N's monic
+characteristic polynomial.  Its squarefree part comes from gcds modulo
+primes joined by the Chinese remainder theorem, and its roots are
+Hensel-lifted from a small prime and confirmed exactly, so the cost
+follows the degree and the bit-size of N's entries, not their prime
+factors.
 """
 
 from __future__ import annotations
@@ -224,6 +226,19 @@ def _integer_matrix(m: ExactMatrix) -> tuple[list[list[int]], int]:
     """D·m and D, for D the lcm of all denominators of m."""
     den = lcm(*(x.denominator for row in m.entries for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in m.entries], den
+
+
+def _primitive(m: ExactMatrix) -> tuple[list[list[int]], int, int, int]:
+    """The primitive integer matrix N = (D·m - t·I)/g with t, g and D: D is
+    the lcm of m's denominators, t = D·m[0][0] and g the content of
+    D·m - t·I (1 when it is zero).  N has m's eigenlines, its eigenvalue y
+    is m's (g·y + t)/D, and off the diagonal N is m times D/g."""
+    b, den = _integer_matrix(m)
+    t = b[0][0]
+    for i, row in enumerate(b):
+        row[i] -= t
+    g = gcd(*(x for row in b for x in row)) or 1
+    return [[x // g for x in row] for row in b], t, g, den
 
 
 def _bareiss(rows: list[list[int]], width: int | None = None) -> tuple[list[int], int]:
@@ -761,14 +776,7 @@ def simple_rational_eigen(m: ExactMatrix) -> tuple[tuple[Fraction, Subspace], ..
     if not m.is_square:
         raise ValueError("eigendecomposition needs a square matrix")
     n = m.rows
-    # N = (D·M - t·I) / g is primitive and integral with M's eigenlines,
-    # and its eigenvalue y is M's θ = (g·y + t) / D, in the same order
-    b, den = _integer_matrix(m)
-    t = b[0][0]
-    for i in range(n):
-        b[i][i] -= t
-    g = gcd(*(x for row in b for x in row)) or 1
-    b = [[x // g for x in row] for row in b]
+    b, t, g, den = _primitive(m)  # g > 0, so θ = (g·y + t)/D keeps the order of the y
     ys = _integer_roots([c.numerator for c in charpoly(ExactMatrix(b))])
     if ys is None:
         raise NotSimpleRationalSpectrum(
@@ -799,21 +807,21 @@ def represent_in_basis(m: ExactMatrix, basis: Sequence[Iterable[Scalar]]) -> Exa
 
 
 def _solve_in_basis(
-    ms: Sequence[ExactMatrix], basis: Sequence[Iterable[Scalar]]
+    integer: Sequence[tuple[list[list[int]], int]], basis: Sequence[Iterable[Scalar]]
 ) -> tuple[list[tuple[list[list[int]], int]], tuple[int, ...]]:
     """One fraction-free solve for every S^{-1} m S, the basis vectors being
-    the columns of S.  Column j of S_int is s_j times column j of S, and
-    B_k = D_k·m_k is integral.  The integer X = det·S_int^{-1}(B_1 S_int |
-    B_2 S_int | ...) gives S^{-1} m_k S = s_i X_ij / (D_k·det·s_j) on block k.
+    the columns of S and each m given as the integer B_k = D_k·m_k with D_k.
+    Column j of S_int is s_j times column j of S.  The integer
+    X = det·S_int^{-1}(B_1 S_int | B_2 S_int | ...) gives
+    S^{-1} m_k S = s_i X_ij / (D_k·det·s_j) on block k.
     Returns the columns of each block of X with its D_k·det, and the s_j."""
     vecs = [as_vector(v) for v in basis]
     n = len(vecs)
-    if not all(m.is_square for m in ms):
+    if not all(len(b) == len(b[0]) for b, _ in integer):
         raise ValueError("change of basis needs a square matrix")
-    if any(m.rows != n for m in ms) or any(len(v) != n for v in vecs):
+    if any(len(b) != n for b, _ in integer) or any(len(v) != n for v in vecs):
         raise AmbientMismatch("basis size differs from the matrix dimension")
     columns, scales = zip(*(_scaled(v) for v in vecs))
-    integer = [_integer_matrix(m) for m in ms]
     # row i of B_k S_int from the nonzero entries of row i of B_k: O(n^2) for a tridiagonal m_k
     nonzero = [[[(c, v) for c, v in enumerate(row) if v] for row in b] for b, _ in integer]
     rows = [
@@ -828,7 +836,7 @@ def represent_all_in_basis(
     ms: Sequence[ExactMatrix], basis: Sequence[Iterable[Scalar]]
 ) -> tuple[ExactMatrix, ...]:
     """S^{-1} m S for each operator m, with the basis vectors as the columns of S."""
-    blocks, scales = _solve_in_basis(ms, basis)
+    blocks, scales = _solve_in_basis([_integer_matrix(m) for m in ms], basis)
     return tuple(
         ExactMatrix(
             [Fraction(s_i * x[i], den * s) for x, s in zip(xs, scales)]
@@ -838,15 +846,28 @@ def represent_all_in_basis(
     )
 
 
-def support_in_basis(
-    ms: Sequence[ExactMatrix], basis: Sequence[Iterable[Scalar]]
-) -> tuple[set[tuple[int, int]], ...]:
-    """The positions (i, j) of the nonzero entries of each S^{-1} m S, read
-    off the integer solve: s_i X_ij / (D_k·det·s_j) is zero exactly when X_ij is."""
-    return tuple(
-        {(i, j) for j, x in enumerate(xs) for i, v in enumerate(x) if v}
-        for xs, _ in _solve_in_basis(ms, basis)[0]
-    )
+def support_in_basis(m: ExactMatrix, basis: Sequence[Iterable[Scalar]]) -> set[tuple[int, int]]:
+    """The off-diagonal positions (i, j) of the nonzero entries of S^{-1} m S,
+    read off the integer solve for N = (D·m - t·I)/g (``_primitive``): off
+    the diagonal, S^{-1} N S is S^{-1} m S times D/g, and its entry
+    s_i X_ij / (det·s_j) is zero exactly when X_ij is."""
+    ((xs, _),), _ = _solve_in_basis([(_primitive(m)[0], 1)], basis)
+    return {(i, j) for j, x in enumerate(xs) for i, v in enumerate(x) if v and i != j}
+
+
+def bidiagonal_in_basis(m: ExactMatrix, basis: Sequence[Vector], step: int) -> bool:
+    """Whether every m s_i lies in span(s_i, s_{i+step}), the neighbour dropped
+    past either end: S^{-1} m S is lower bidiagonal for step 1, upper for -1.
+    Each test is one Bareiss elimination of at most three integer rows."""
+    b, _ = _integer_matrix(m)
+    nonzero = [[(c, v) for c, v in enumerate(row) if v] for row in b]
+    vecs = [_scaled(v)[0] for v in basis]
+    for i, s in enumerate(vecs):
+        rows = [list(s)] + ([list(vecs[i + step])] if 0 <= i + step < len(vecs) else [])
+        rows.append([sum(v * s[c] for c, v in nz) for nz in nonzero])
+        if len(_bareiss(rows)[0]) == len(rows):
+            return False
+    return True
 
 
 def conjugate_all(ms: Sequence[ExactMatrix], s: ExactMatrix) -> tuple[ExactMatrix, ...]:

@@ -2,8 +2,8 @@
 
 A decomposition is LU-split when the pair acts (in the induced basis)
 as a lower bidiagonal A and an upper bidiagonal A*, and UL-split in the
-transposed situation.  The same verdict can be reached through flags:
-[xy] is LU-split exactly when x is A*-standard and y is A-standard.
+transposed situation, tested as span membership.  The flags reach the same
+verdict: [xy] is LU-split exactly when x is A*-standard and y is A-standard.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from enum import Enum
 from .errors import NotADecomposition, TheoremViolation
 from .flags import induced_flag, standard_flag_set
 from .leonard import Decomposition, LeonardPair
-from .linalg import ExactMatrix, support_in_basis
+from .linalg import ExactMatrix, bidiagonal_in_basis
 
 
 class BidiagonalShape(Enum):
@@ -61,15 +61,12 @@ def _verdict(lu: bool, ul: bool, pair: LeonardPair) -> SplitType:
 
 
 def split_type(dec: Decomposition, pair: LeonardPair) -> SplitType:
-    """Classify by the zero patterns of both operators in the induced basis,
-    which depend only on the component lines, not on the representatives."""
+    """LU-split when A s_i ∈ span(s_i, s_{i+1}) and A* s_i ∈ span(s_{i-1}, s_i)
+    for the component representatives s_i, UL-split the other way round."""
     _check_ambient(dec, pair)
     reps = [c.representative() for c in dec.components]
-    off_a, off_a_star = (
-        {j - i for i, j in s} for s in support_in_basis((pair.a, pair.a_star), reps)
-    )
-    lu = off_a <= {0, -1} and off_a_star <= {0, 1}
-    ul = off_a <= {0, 1} and off_a_star <= {0, -1}
+    lu = bidiagonal_in_basis(pair.a, reps, 1) and bidiagonal_in_basis(pair.a_star, reps, -1)
+    ul = bidiagonal_in_basis(pair.a, reps, -1) and bidiagonal_in_basis(pair.a_star, reps, 1)
     return _verdict(lu, ul, pair)
 
 

@@ -358,13 +358,19 @@ def test_are_adjacent_matches_all_orientations(standard_triple, kraw, d):
     assert verdicts == {True, False}
 
 
-def test_split_route_solves_once_per_standard_basis(standard_triple, monkeypatch):
+def test_split_route_tests_one_standard_basis_per_kind(standard_triple, monkeypatch):
+    """One split verdict per standard basis, each by span membership, so
+    the split route makes no solve."""
     pairs = standard_triple(3)
-    solves = []
+    verdicts, solves = [], []
+    monkeypatch.setattr(
+        adjacency, "split_type", lambda *args: verdicts.append(args) or split_type(*args)
+    )
     solve = linalg._solve
     monkeypatch.setattr(linalg, "_solve", lambda *args: solves.append(args) or solve(*args))
     assert check_mutually_adjacent(pairs)
-    assert len(solves) == 12  # 3 pairs of pairs, 2 directions, one basis per kind
-    solves.clear()
+    assert len(verdicts) == 12  # 3 pairs of pairs, 2 directions, one basis per kind
+    verdicts.clear()
     assert are_adjacent(pairs[0], pairs[1])
-    assert len(solves) == 4
+    assert len(verdicts) == 4
+    assert not solves

@@ -473,6 +473,26 @@ def test_affine_image_is_decomposed_at_the_size_of_the_pair(kraw, monkeypatch):
     assert entries and max(max(abs(x.numerator), x.denominator) for x in entries) < 2**16
 
 
+def test_support_solve_reads_the_primitive_form(kraw, monkeypatch):
+    """The support solve of recognition takes the tridiagonal operator as
+    its primitive integer matrix (D·M - t·I)/g, so the 500-bit c of
+    c·A + c·I never reaches the elimination."""
+    rng = random.Random(7)
+    c = Fraction(rng.getrandbits(500) | 1 << 499, rng.getrandbits(500) | 1 << 499)
+    k, eye = kraw(8, Fraction(1, 3)), ExactMatrix.identity(9)
+    entries = []
+    solve_in_basis = linalg._solve_in_basis
+
+    def spy(integer, basis):
+        entries.extend(x for b, _ in integer for row in b for x in row)
+        return solve_in_basis(integer, basis)
+
+    monkeypatch.setattr(linalg, "_solve_in_basis", spy)
+    pair = verify_leonard(c * k.a + c * eye, c * k.a_star + c * eye)
+    assert pair.a_star_standard_decompositions == k.a_star_standard_decompositions
+    assert entries and max(map(abs, entries)) < 2**16
+
+
 def test_large_diagonal_takes_no_gcd(squarefree_primes):
     rng = random.Random(5)
     diagonal = [10**20 + 7 * i + rng.randint(1, 10**19) for i in range(8)]
@@ -731,8 +751,8 @@ def test_one_solve_rejects_mismatched_operators():
         represent_all_in_basis([ExactMatrix.identity(2), ExactMatrix.identity(3)], basis)
 
 
-def _nonzero_positions(m):
-    return {(i, j) for i in range(m.rows) for j in range(m.cols) if m[i, j] != 0}
+def _off_diagonal_support(m):
+    return {(i, j) for i in range(m.rows) for j in range(m.cols) if i != j and m[i, j] != 0}
 
 
 def _random_operator(rng, n, tridiagonal):
@@ -752,9 +772,10 @@ def _random_operator(rng, n, tridiagonal):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_support_in_basis_is_the_nonzero_pattern_of_the_change_of_basis(n):
     """On seeded random integer bases, the positions read off the integer
-    solve are those of the nonzero entries of represent_all_in_basis: for
-    dense and tridiagonal operators, and for operators S T S^-1 whose
-    representation T is tridiagonal with scattered zeros."""
+    solve for the primitive form of each operator are those of the nonzero
+    off-diagonal entries of represent_all_in_basis: for dense and
+    tridiagonal operators, and for operators S T S^-1 whose representation
+    T is tridiagonal with scattered zeros."""
     rng = random.Random(n)
     found = 0
     while found < 6:
@@ -768,16 +789,17 @@ def test_support_in_basis_is_the_nonzero_pattern_of_the_change_of_basis(n):
         ms += conjugate_all((t,), s)
         reps = represent_all_in_basis(ms, basis)
         assert reps[2] == t
-        assert support_in_basis(ms, basis) == tuple(_nonzero_positions(r) for r in reps)
+        for m, r in zip(ms, reps):
+            assert support_in_basis(m, basis) == _off_diagonal_support(r)
 
 
 def test_support_in_basis_rejects_what_the_change_of_basis_rejects():
-    for reader in (represent_all_in_basis, support_in_basis):
+    for reader in (represent_in_basis, support_in_basis):
         with pytest.raises(SingularBasis) as singular:
-            reader([ExactMatrix.identity(2)], [(1, 1), (2, 2)])
+            reader(ExactMatrix.identity(2), [(1, 1), (2, 2)])
         assert str(singular.value) == "matrix is singular"
         with pytest.raises(AmbientMismatch) as mismatch:
-            reader([ExactMatrix.identity(2), ExactMatrix.identity(3)], [(1, 0), (0, 1)])
+            reader(ExactMatrix.identity(3), [(1, 0), (0, 1)])
         assert str(mismatch.value) == "basis size differs from the matrix dimension"
 
 

@@ -577,9 +577,8 @@ def test_command_paths_run_on_the_one_solve(command_linalg_only, monkeypatch):
     solve = linalg._solve
     monkeypatch.setattr(linalg, "_solve", lambda *args: solves.append(args) or solve(*args))
     for dec in pairs[1].a_standard_decompositions + pairs[1].a_star_standard_decompositions:
-        before = len(solves)
         split_type(dec, pairs[0])
-        assert len(solves) == before + 1
+    assert not solves  # split verdicts test span membership and solve nothing
 
 
 # --- one orientation against the four-orientation search ------------------

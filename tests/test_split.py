@@ -11,7 +11,13 @@ from leonard_kit.adjacency import are_adjacent
 from leonard_kit.errors import NotADecomposition, NotArithmetic
 from leonard_kit.flags import decomposition_from_flags, induced_flag, standard_flag_set
 from leonard_kit.leonard import Decomposition, Kind, standard_decompositions, verify_leonard
-from leonard_kit.linalg import ExactMatrix, Subspace, conjugate_all
+from leonard_kit.linalg import (
+    ExactMatrix,
+    Subspace,
+    bidiagonal_in_basis,
+    conjugate_all,
+    represent_all_in_basis,
+)
 from leonard_kit.sequences import (
     SequenceClass,
     SequenceTag,
@@ -89,12 +95,16 @@ def test_shape_matches_the_band_scan():
 
 
 def test_verdicts_build_no_change_of_basis(kraw, standard_triple, monkeypatch):
-    """Recognition, split and adjacency read zero patterns off the integer
-    solve, so they need neither fraction-building change of basis."""
+    """Recognition reads zero patterns off the integer solve, and split and
+    adjacency test span membership with no solve at all, so none of them
+    needs a fraction-building change of basis."""
     kraw_pair, member, other = kraw(3, Fraction(1, 3)), *standard_triple(3)[1:]
 
     def refuse(*args):
         raise AssertionError("a verdict built S^-1 M S in fractions")
+
+    def refuse_solve(*args):
+        raise AssertionError("a split verdict solved in the basis")
 
     for module in (linalg, leonard, split):
         for name in ("represent_in_basis", "represent_all_in_basis"):
@@ -102,12 +112,121 @@ def test_verdicts_build_no_change_of_basis(kraw, standard_triple, monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
     for pair in (kraw_pair, member):
         assert verify_leonard(pair.a, pair.a_star) == pair
+    monkeypatch.setattr(linalg, "_solve", refuse_solve)
+    for pair in (kraw_pair, member):
         for dec in standard_decompositions(pair, Kind.A):
             assert split_type(dec, pair) is SplitType.NONE
     dec = standard_decompositions(other, Kind.A)[0]
     assert split_type(dec, member) in (SplitType.LU, SplitType.UL)
     assert not are_adjacent(kraw_pair, kraw_pair)
     assert are_adjacent(member, other)
+
+
+# --- span membership against the change of basis -------------------------
+
+
+def _split_by_change_of_basis(dec, pair):
+    """The verdict read off the zero patterns of S^-1 A S and S^-1 A* S,
+    built by one solve in the basis of component representatives, with
+    no span membership test."""
+    reps = [c.representative() for c in dec.components]
+    shape_a, shape_a_star = map(
+        bidiagonal_shape, represent_all_in_basis((pair.a, pair.a_star), reps)
+    )
+    lower = (BidiagonalShape.LOWER, BidiagonalShape.BOTH)
+    upper = (BidiagonalShape.UPPER, BidiagonalShape.BOTH)
+    lu = shape_a in lower and shape_a_star in upper
+    ul = shape_a in upper and shape_a_star in lower
+    return split._verdict(lu, ul, pair)
+
+
+def _integer_conjugate(pair, rng):
+    n = pair.d + 1
+    while True:
+        t = ExactMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if t.det() != 0:
+            return verify_leonard(*conjugate_all((pair.a, pair.a_star), t))
+
+
+@given(st.integers(1, 5), st.integers(0, 2), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_membership_matches_the_change_of_basis_on_random_bases(
+    standard_triple, d, member, swap, data
+):
+    pair = standard_triple(d)[member]
+    pair = pair.swapped() if swap else pair
+    entries = st.integers(-3, 3).map(Fraction)
+    vectors = data.draw(
+        st.lists(st.lists(entries, min_size=d + 1, max_size=d + 1), min_size=d + 1, max_size=d + 1)
+        .filter(lambda rows: ExactMatrix(rows).det() != 0)
+    )
+    dec = Decomposition(tuple(Subspace.line(v) for v in vectors))
+    assert split_type(dec, pair) is _split_by_change_of_basis(dec, pair)
+
+
+@pytest.mark.parametrize("d", range(1, 5))
+def test_membership_matches_the_change_of_basis_on_standard_bases(standard_triple, d):
+    """The standard decompositions of the triple members, their swapped
+    pairs and random integer conjugates, each against every one of them."""
+    members = list(standard_triple(d))
+    rng = random.Random(d)
+    members += [pair.swapped() for pair in members[:3]]
+    members += [_integer_conjugate(pair, rng) for pair in members[:3]]
+    decs = {
+        dec
+        for pair in members
+        for dec in pair.a_standard_decompositions + pair.a_star_standard_decompositions
+    }
+    verdicts = set()
+    for dec in decs:
+        for pair in members:
+            verdict = split_type(dec, pair)
+            assert verdict is _split_by_change_of_basis(dec, pair)
+            verdicts.add(verdict)
+    assert verdicts == {SplitType.LU, SplitType.UL, SplitType.NONE}
+
+
+def test_membership_gives_each_verdict_as_the_change_of_basis_does(kraw):
+    pair = kraw(2, Fraction(1, 3))
+    flag_set = standard_flag_set(pair)
+    mixed = decomposition_from_flags(flag_set.a_star_flags[0], flag_set.a_flags[0])
+    point = verify_leonard(ExactMatrix([[1]]), ExactMatrix([[2]]))
+    cases = [
+        (mixed, pair, SplitType.LU),
+        (mixed.inversion(), pair, SplitType.UL),
+        (standard_decompositions(point, Kind.A)[0], point, SplitType.BOTH),
+        (standard_decompositions(pair, Kind.A)[0], pair, SplitType.NONE),
+    ]
+    for dec, p, verdict in cases:
+        assert split_type(dec, p) is _split_by_change_of_basis(dec, p) is verdict
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_membership_holds_for_a_killed_basis_vector(standard_triple, d):
+    """At even d each operator has the eigenvalue 0, so its standard basis
+    holds a vector it sends to 0, which lies in every span."""
+    members = standard_triple(d)
+    for pair in members:
+        for dec in pair.a_standard_decompositions:
+            reps = [c.representative() for c in dec.components]
+            assert any(not any(pair.a.apply(s)) for s in reps)
+            assert bidiagonal_in_basis(pair.a, reps, 1) and bidiagonal_in_basis(pair.a, reps, -1)
+            for other in members:
+                assert split_type(dec, other) is _split_by_change_of_basis(dec, other)
+
+
+def test_membership_reads_the_bidiagonal_side():
+    unit = [tuple(Fraction(int(i == k)) for i in range(3)) for k in range(3)]
+    lower = ExactMatrix([[1, 0, 0], [5, 2, 0], [0, 7, 3]])
+    cases = [
+        (lower, (True, False)),
+        (lower.transpose(), (False, True)),
+        (ExactMatrix.diagonal([1, 0, -1]), (True, True)),
+        (ExactMatrix([[1, 2, 0], [3, 4, 5], [0, 6, 7]]), (False, False)),
+    ]
+    for m, sides in cases:
+        assert (bidiagonal_in_basis(m, unit, 1), bidiagonal_in_basis(m, unit, -1)) == sides
+    assert bidiagonal_in_basis(ExactMatrix([[5]]), [(Fraction(3),)], 1)
 
 
 def test_own_standard_decomposition_is_not_split(kraw):
