@@ -7,7 +7,13 @@ share the plain methods below instead of methods generated and compiled
 per class, which keeps importing the package, and so starting every
 command, cheap.
 
-Public constructors always validate.  ``_derived`` binds without the
+Six records check their fields: ``ExactMatrix``, ``Subspace``, ``Flag``,
+``Decomposition``, ``ChevalleyBasis`` and ``KrawtchoukParameters``
+define ``_validate``, which their public constructor calls, also when a
+copy or an unpickled record is built.  The others bind their fields
+unchecked.  In particular a ``LeonardPair`` is verified only as
+``verify_leonard`` returns it: ``LeonardPair(...)``, ``swapped()`` and
+unpickling bind a pair without a check.  ``_derived`` binds without the
 check, and builds only records derived from checked ones: the rows of
 ``Subspace.span``, canonical by elimination; each eigenline of
 ``simple_rational_eigen``, whose first nonzero entry is 1 by

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hard_inputs import conjugated, invertible
 
 from leonard_kit.adjacency import (
     are_adjacent,
@@ -27,8 +28,7 @@ from leonard_kit.flags import (
     principal_relation,
     standard_flag_set,
 )
-from leonard_kit.leonard import Kind, standard_decompositions, verify_leonard
-from leonard_kit.linalg import ExactMatrix
+from leonard_kit.leonard import Kind, standard_decompositions
 from leonard_kit.sequences import SequenceTag, classify_sequence
 from leonard_kit.sl2 import (
     KrawtchoukParameters,
@@ -67,20 +67,8 @@ def conjugation_trials():
     for trial in range(CONJUGATION_TRIALS):
         d = trial % 5 + 1
         p = rng.choice(p_pool)
-        while True:
-            t = ExactMatrix(
-                [[rng.randint(-3, 3) for _ in range(d + 1)] for _ in range(d + 1)]
-            )
-            if t.det() != 0:
-                break
-        trials.append((d, p, t))
+        trials.append((d, p, invertible(rng, d + 1)))
     return trials
-
-
-def conjugated_pair(d, p, t):
-    base = krawtchouk_pair(KrawtchoukParameters(d, p))
-    t_inv = t.inverse()
-    return verify_leonard(t * base.a * t_inv, t * base.a_star * t_inv)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +92,7 @@ def all_pairs_from_criteria(registry):
         seen.extend(triple)
     companion_members = []
     for d, p, t in conjugation_trials():
-        pair = conjugated_pair(d, p, t)
+        pair = conjugated(krawtchouk_pair(KrawtchoukParameters(d, p)), t)
         seen.append(pair)
         companion_members.extend(companions(pair)[1:])
     seen.extend(companion_members)
@@ -193,7 +181,7 @@ def test_criterion_6_theorem_3_round_trip():
         trials = conjugation_trials()
         assert len(trials) == CONJUGATION_TRIALS
         for d, p, t in trials:
-            pair = conjugated_pair(d, p, t)
+            pair = conjugated(krawtchouk_pair(KrawtchoukParameters(d, p)), t)
             _, b_pair, c_pair = companions(pair)
             assert check_mutually_adjacent([pair, b_pair, c_pair])
         elapsed = time.perf_counter() - start

@@ -8,35 +8,24 @@ validates a flag or decomposition, or hashes a flag.
 """
 
 import json
-import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hard_inputs import conjugated, random_t
 
 from leonard_kit import adjacency, cli
 from leonard_kit.adjacency import AdjacencyLabeling, are_adjacent_via_flags, build_labeling
 from leonard_kit.errors import NotAdjacent
 from leonard_kit.flags import Flag, principal_relation, standard_flag_set
-from leonard_kit.leonard import Decomposition, verify_leonard
-from leonard_kit.linalg import ExactMatrix, Subspace
+from leonard_kit.leonard import Decomposition
+from leonard_kit.linalg import Subspace
 from leonard_kit.sl2 import affine_transform
-
-
-def _dense_conjugate(base, seed):
-    rng = random.Random(seed)
-    n = base.d + 1
-    while True:
-        t = ExactMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        if t.det() != 0:
-            break
-    t_inv = t.inverse()
-    return verify_leonard(t * base.a * t_inv, t * base.a_star * t_inv)
 
 
 def _pairs(kraw, standard_triple):
     pairs = [kraw(d, p) for d in range(9) for p in (Fraction(1, 3), Fraction(-2, 5))]
-    pairs += [_dense_conjugate(kraw(d, Fraction(1, 3)), d) for d in range(1, 7)]
+    pairs += [conjugated(kraw(d, Fraction(1, 3)), random_t(d)) for d in range(1, 7)]
     pairs += [q for d in range(1, 5) for q in standard_triple(d)]
     return pairs + [q.swapped() for q in pairs]
 

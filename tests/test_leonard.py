@@ -1,8 +1,8 @@
 import json
-import random
 from fractions import Fraction
 
 import pytest
+from hard_inputs import affine_image, dense_random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,28 +58,19 @@ def test_verify_200_bit_prime_entries():
     assert pair.dual_eigenvalue_sequences == ((1, -1), (-1, 1))
 
 
-def test_verify_krawtchouk_rescaled_by_wide_prime(kraw):
+def test_verify_krawtchouk_rescaled_by_wide_prime():
     c = Fraction(2**24 - 3, 2**23)  # the largest 24-bit prime over 2^23
-    base = kraw(8, Fraction(1, 3))
-    shift = c * ExactMatrix.identity(9)
-    pair = verify_leonard(c * base.a + shift, c * base.a_star + shift)
+    pair = verify_leonard(*affine_image(8, c))
     theta = tuple(c * (9 - 2 * i) for i in range(9))
     assert pair.eigenvalue_sequences[0] == theta
     assert set(pair.dual_eigenvalue_sequences) == {theta, theta[::-1]}
 
 
-def test_dense_conjugated_krawtchouk_d24(kraw):
+def test_dense_conjugated_krawtchouk_d24():
     """Correctness at scale: T A T^-1 and T A* T^-1 with T a dense random
-    integer matrix, entries in [-3, 3]."""
+    integer matrix, entries in [-3, 3] (``dense_random24``)."""
     d = 24
-    base = kraw(d, Fraction(1, 3))
-    rng = random.Random(d)
-    while True:
-        t = ExactMatrix([[rng.randint(-3, 3) for _ in range(d + 1)] for _ in range(d + 1)])
-        if t.det() != 0:
-            break
-    t_inv = t.inverse()
-    a = t * base.a * t_inv
+    a, a_star = dense_random(d)
     theta = tuple(Fraction(d - 2 * i) for i in range(d + 1))
     expected = [Fraction(1)]
     for root in theta:  # times (x - root)
@@ -87,7 +78,7 @@ def test_dense_conjugated_krawtchouk_d24(kraw):
         for e in range(len(expected) - 1):
             expected[e] -= root * expected[e + 1]
     assert charpoly(a) == tuple(expected)
-    pair = verify_leonard(a, t * base.a_star * t_inv)
+    pair = verify_leonard(a, a_star)
     assert pair.eigenvalue_sequences[0] == theta
     assert pair.dual_eigenvalue_sequences[0] == theta
 

@@ -4,6 +4,7 @@ from itertools import islice
 from math import gcd, prod
 
 import pytest
+from hard_inputs import SCALE, affine_image, invertible, wide_diagonal, wide_scale
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -205,10 +206,7 @@ def test_eigen_trace_and_annihilation_randomized():
     for _ in range(25):
         n = rng.randint(1, 4)
         values = rng.sample(range(-8, 9), n)
-        while True:
-            s = ExactMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-            if s.det() != 0:
-                break
+        s = invertible(rng, n)
         m = s * ExactMatrix.diagonal(values) * s.inverse()
         pairs = simple_rational_eigen(m)
         assert sum(lam for lam, _ in pairs) == m.trace()
@@ -414,18 +412,17 @@ def test_squarefree_part_restarts_past_unlucky_primes(r, squarefree_primes):
 def test_scaled_krawtchouk_takes_no_gcd(kraw, squarefree_primes):
     """A simple spectrum with wide denominators is squarefree at the
     first prime."""
-    k, c = kraw(8, Fraction(1, 3)), Fraction(2**31 + 12345, 2**31)
-    eye = ExactMatrix.identity(9)
-    pair = verify_leonard(c * k.a + c * eye, c * k.a_star + c * eye)
+    k = kraw(8, Fraction(1, 3))
+    pair = verify_leonard(*affine_image(8, SCALE))
     for scaled, seqs in (
         (pair.eigenvalue_sequences, k.eigenvalue_sequences),
         (pair.dual_eigenvalue_sequences, k.dual_eigenvalue_sequences),
     ):
-        assert scaled == tuple(tuple(c * (x + 1) for x in seq) for seq in seqs)
+        assert scaled == tuple(tuple(SCALE * (x + 1) for x in seq) for seq in seqs)
     assert squarefree_primes and all(primes == [_PRIMES[0]] for primes in squarefree_primes)
 
 
-def test_scaled_krawtchouk_lifts_to_short_moduli(kraw, monkeypatch):
+def test_scaled_krawtchouk_lifts_to_short_moduli(monkeypatch):
     """The roots are lifted on the monic polynomial of the primitive
     integer matrix N = (D·M - t·I)/g, so the moduli follow the roots'
     size, not the size of 2^(31·9)."""
@@ -437,9 +434,7 @@ def test_scaled_krawtchouk_lifts_to_short_moduli(kraw, monkeypatch):
         return eval_mod(f, x, m)
 
     monkeypatch.setattr(linalg, "_eval_mod", spy)
-    k, c = kraw(8, Fraction(1, 3)), Fraction(2**31 + 12345, 2**31)
-    eye = ExactMatrix.identity(9)
-    verify_leonard(c * k.a + c * eye, c * k.a_star + c * eye)
+    verify_leonard(*affine_image(8, SCALE))
     assert moduli and max(moduli).bit_length() <= 128
 
 
@@ -460,10 +455,8 @@ def test_affine_image_is_decomposed_at_the_size_of_the_pair(kraw, monkeypatch):
 
     monkeypatch.setattr(linalg, "_integer_roots", roots_spy)
     monkeypatch.setattr(linalg, "charpoly", charpoly_spy)
-    rng = random.Random(7)
-    c = Fraction(rng.getrandbits(500) | 1 << 499, rng.getrandbits(500) | 1 << 499)
-    k, eye = kraw(8, Fraction(1, 3)), ExactMatrix.identity(9)
-    pair = verify_leonard(c * k.a + c * eye, c * k.a_star + c * eye)
+    c, k = wide_scale(500), kraw(8, Fraction(1, 3))
+    pair = verify_leonard(*affine_image(8, c))
     for scaled, seqs in (
         (pair.eigenvalue_sequences, k.eigenvalue_sequences),
         (pair.dual_eigenvalue_sequences, k.dual_eigenvalue_sequences),
@@ -477,9 +470,7 @@ def test_support_solve_reads_the_primitive_form(kraw, monkeypatch):
     """The support solve of recognition takes the tridiagonal operator as
     its primitive integer matrix (D·M - t·I)/g, so the 500-bit c of
     c·A + c·I never reaches the elimination."""
-    rng = random.Random(7)
-    c = Fraction(rng.getrandbits(500) | 1 << 499, rng.getrandbits(500) | 1 << 499)
-    k, eye = kraw(8, Fraction(1, 3)), ExactMatrix.identity(9)
+    k = kraw(8, Fraction(1, 3))
     entries = []
     solve_in_basis = linalg._solve_in_basis
 
@@ -488,17 +479,15 @@ def test_support_solve_reads_the_primitive_form(kraw, monkeypatch):
         return solve_in_basis(integer, basis)
 
     monkeypatch.setattr(linalg, "_solve_in_basis", spy)
-    pair = verify_leonard(c * k.a + c * eye, c * k.a_star + c * eye)
+    pair = verify_leonard(*affine_image(8, wide_scale(500)))
     assert pair.a_star_standard_decompositions == k.a_star_standard_decompositions
     assert entries and max(map(abs, entries)) < 2**16
 
 
 def test_large_diagonal_takes_no_gcd(squarefree_primes):
-    rng = random.Random(5)
-    diagonal = [10**20 + 7 * i + rng.randint(1, 10**19) for i in range(8)]
-    a = ExactMatrix.diagonal(diagonal)
+    a, path = wide_diagonal(8)
+    diagonal = [a.entries[i][i] for i in range(8)]
     assert [lam for lam, _ in simple_rational_eigen(a)] == sorted(diagonal, reverse=True)
-    path = ExactMatrix([[int(abs(i - j) == 1) for j in range(8)] for i in range(8)])
     with pytest.raises(NotSimpleRationalSpectrum) as caught:
         verify_leonard(a, path)
     assert str(caught.value) == "the characteristic polynomial has an irrational root"
@@ -777,12 +766,8 @@ def test_support_in_basis_is_the_nonzero_pattern_of_the_change_of_basis(n):
     tridiagonal operators, and for operators S T S^-1 whose representation
     T is tridiagonal with scattered zeros."""
     rng = random.Random(n)
-    found = 0
-    while found < 6:
-        s = ExactMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        if s.det() == 0:
-            continue
-        found += 1
+    for _ in range(6):
+        s = invertible(rng, n)
         basis = [s.column(j) for j in range(n)]
         t = _random_operator(rng, n, True)
         ms = [_random_operator(rng, n, False), _random_operator(rng, n, True)]
@@ -1130,19 +1115,12 @@ def test_moduli_extend_past_the_table():
 # --- eigenlines ----------------------------------------------------------
 
 
-def _invertible(rng, n):
-    while True:
-        t = ExactMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        if t.det() != 0:
-            return t
-
-
-def _wide(pair, m):
-    """A -> cA + cI and A* -> cA* + cI with c = M / 2^(m-1), M the least
-    m-bit prime, as the wide-entries benchmark rescales its pairs."""
+def _wide(d, m):
+    """The Krawtchouk pair K(d) at p = 1/3 with A -> cA + cI and A* -> cA* + cI,
+    c = M / 2^(m-1), M the least m-bit prime, as the wide-entries benchmark
+    rescales its pairs."""
     c = Fraction(next(n for n in range(2 ** (m - 1) + 1, 2**m) if _is_prime(n)), 2 ** (m - 1))
-    eye = ExactMatrix.identity(pair.d + 1)
-    return c * pair.a + c * eye, c * pair.a_star + c * eye
+    return affine_image(d, c)
 
 
 def _eigen_pairs(kraw, standard_triple):
@@ -1150,7 +1128,7 @@ def _eigen_pairs(kraw, standard_triple):
     rescalings and the members of mutually adjacent triples."""
     pairs = [kraw(d, p) for d in range(9) for p in (Fraction(1, 3), Fraction(2, 5))]
     out = [(pair.a, pair.a_star) for pair in pairs]
-    out += [_wide(kraw(d, Fraction(1, 3)), m) for d in (2, 4) for m in (12, 16, 22)]
+    out += [_wide(d, m) for d in (2, 4) for m in (12, 16, 22)]
     out += [(q.a, q.a_star) for d in range(1, 5) for q in standard_triple(d)]
     return out
 
@@ -1170,7 +1148,7 @@ def _eigen_matrices():
         values = rng.sample(
             [Fraction(k, q) for q in (2, 3, 7) for k in range(-3 * q, 3 * q) if k % q], n
         )
-        t = _invertible(rng, n)
+        t = invertible(rng, n)
         out.append(t * ExactMatrix.diagonal(values) * t.inverse())
         scale = ExactMatrix.diagonal([Fraction(7**i, 3 ** (2 * (n - i))) for i in range(n)])
         out.append(scale * out[-1] * scale.inverse())

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hard_inputs import conjugated, invertible
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -625,14 +626,6 @@ def _reference_normal_form(pair):
     raise NotKrawtchouk("no orientation matches the tridiagonal normal form")
 
 
-def _integer_conjugate(pair, rng):
-    n = pair.d + 1
-    while True:
-        t = ExactMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        if t.det() != 0:
-            return verify_leonard(*linalg.conjugate_all((pair.a, pair.a_star), t))
-
-
 krawtchouk_ps = st.fractions(min_value=-2, max_value=3, max_denominator=5).filter(
     lambda p: p not in (0, 1)
 )
@@ -657,7 +650,7 @@ def arithmetic_pairs(draw):
         if source == "companion":
             pair = rng.choice(companions(pair)[1:])
     if draw(st.booleans()):
-        pair = _integer_conjugate(pair, rng)
+        pair = conjugated(pair, invertible(rng, pair.d + 1))
     if draw(st.booleans()):
         pair = pair.swapped()
     if draw(st.booleans()):

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hard_inputs import conjugated, invertible, random_t
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from leonard_kit.linalg import (
     ExactMatrix,
     Subspace,
     bidiagonal_in_basis,
-    conjugate_all,
     represent_all_in_basis,
 )
 from leonard_kit.sequences import (
@@ -140,14 +140,6 @@ def _split_by_change_of_basis(dec, pair):
     return split._verdict(lu, ul, pair)
 
 
-def _integer_conjugate(pair, rng):
-    n = pair.d + 1
-    while True:
-        t = ExactMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        if t.det() != 0:
-            return verify_leonard(*conjugate_all((pair.a, pair.a_star), t))
-
-
 @given(st.integers(1, 5), st.integers(0, 2), st.booleans(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_membership_matches_the_change_of_basis_on_random_bases(
@@ -171,7 +163,7 @@ def test_membership_matches_the_change_of_basis_on_standard_bases(standard_tripl
     members = list(standard_triple(d))
     rng = random.Random(d)
     members += [pair.swapped() for pair in members[:3]]
-    members += [_integer_conjugate(pair, rng) for pair in members[:3]]
+    members += [conjugated(pair, invertible(rng, d + 1)) for pair in members[:3]]
     decs = {
         dec
         for pair in members
@@ -352,12 +344,7 @@ def test_q_racah_pair_keeps_its_sequences_flags_and_split_routes(d, family):
     n = d + 1
     unit = Decomposition(tuple(Subspace.line([int(i == k) for i in range(n)]) for k in range(n)))
     assert split_type(unit, plain) is split_type_via_flags(unit, plain) is SplitType.LU
-    rng = random.Random(d)
-    while True:
-        t = ExactMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        if t.det() != 0:
-            break
-    pair = verify_leonard(*conjugate_all((a, a_star), t))
+    pair = conjugated(plain, random_t(d))
     assert pair.eigenvalue_sequences == plain.eigenvalue_sequences
     assert pair.dual_eigenvalue_sequences == plain.dual_eigenvalue_sequences
     for dec in pair.a_standard_decompositions + pair.a_star_standard_decompositions:
